@@ -1,0 +1,17 @@
+//! Captures the target triple and compiler version for the run record.
+
+use std::process::Command;
+
+fn main() {
+    let target = std::env::var("TARGET").unwrap_or_else(|_| "unknown".to_string());
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=BENCH_TARGET={target}");
+    println!("cargo:rustc-env=BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
