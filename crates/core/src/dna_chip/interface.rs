@@ -199,6 +199,29 @@ mod tests {
     }
 
     #[test]
+    fn serial_words_are_pinned() {
+        // 56-bit words (sync, row, col, 24-bit count, CRC-8) computed with
+        // the bitwise CRC definition; the table-driven CRC must reproduce
+        // every checksum byte.
+        let cases: [((usize, usize, u64), u64); 6] = [
+            ((0, 0, 0), 0x00A5_0000_0000_005A),
+            ((7, 15, 123_456), 0x00A5_070F_01E2_4064),
+            ((3, 9, 0xFF_FFFF), 0x00A5_0309_FFFF_FF55),
+            ((15, 7, 1), 0x00A5_0F07_0000_010F),
+            ((255, 255, 0xAB_CDEF), 0x00A5_FFFF_ABCD_EF91),
+            ((0, 1, 0x80_0000), 0x00A5_0001_8000_0047),
+        ];
+        for ((row, col, count), word) in cases {
+            let reading = PixelReading {
+                address: PixelAddress::new(row, col),
+                count,
+            };
+            assert_eq!(pack(&reading), word, "word for {reading:?}");
+            assert_eq!(checksum_of(word >> 8), (word & 0xFF) as u8);
+        }
+    }
+
+    #[test]
     fn round_trip_preserves_readings() {
         let readings = sample_readings();
         let bits = encode_frames(&readings);

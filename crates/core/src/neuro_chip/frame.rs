@@ -22,6 +22,7 @@ use bsa_units::{Hertz, Seconds, Siemens, Volt};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Upper bound on the number of frames scanned per fan-out chunk: large
 /// enough to amortize worker spawn-up, small enough to keep the stripe
@@ -488,7 +489,27 @@ impl NeuroChip {
         frames: usize,
         opts: ScanOptions,
     ) -> Recording {
-        self.scan_recording(culture, t0, frames, opts, true)
+        self.scan_recording(culture, t0, frames, opts, true, &mut |_| {
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// [`record`](Self::record) that hands each scan chunk's frames to
+    /// `sink` as soon as they are gathered, so a consumer can transmit
+    /// chunk *k* while chunk *k + 1* is scanned. The frames, and the
+    /// returned recording, are bit-identical to `record` of the same
+    /// arguments: it is the same scan loop. Chunks hold at most 32 frames
+    /// and end early at recalibration points. `sink` returning
+    /// [`ControlFlow::Break`] stops the scan; the recording then holds
+    /// the frames handed out so far.
+    pub fn record_streamed(
+        &mut self,
+        culture: &Culture,
+        t0: Seconds,
+        frames: usize,
+        sink: &mut dyn FnMut(&[Frame]) -> ControlFlow<()>,
+    ) -> Recording {
+        self.scan_recording(culture, t0, frames, ScanOptions::default(), true, sink)
     }
 
     /// Records without ever calibrating — the baseline the paper's
@@ -517,14 +538,18 @@ impl NeuroChip {
         }
         self.calibrated = false;
         self.linear.invalidate();
-        self.scan_recording(culture, t0, frames, opts, false)
+        self.scan_recording(culture, t0, frames, opts, false, &mut |_| {
+            ControlFlow::Continue(())
+        })
     }
 
-    /// The shared scan core behind [`record`](Self::record) and
+    /// The shared scan core behind [`record`](Self::record),
+    /// [`record_streamed`](Self::record_streamed) and
     /// [`record_uncalibrated`](Self::record_uncalibrated): chunks the
     /// frame sequence at recalibration points, fans each chunk's channels
-    /// out over the scan workers into a channel-major stripe buffer, then
-    /// gathers the stripes into row-major frames drawn from the arena.
+    /// out over the scan workers into a channel-major stripe buffer,
+    /// gathers the stripes into row-major frames drawn from the arena,
+    /// and hands each gathered chunk to `sink`.
     fn scan_recording(
         &mut self,
         culture: &Culture,
@@ -532,6 +557,7 @@ impl NeuroChip {
         frames: usize,
         opts: ScanOptions,
         recalibrate: bool,
+        sink: &mut dyn FnMut(&[Frame]) -> ControlFlow<()>,
     ) -> Recording {
         let geometry = self.config.geometry;
         let timing = self.timing;
@@ -646,6 +672,9 @@ impl NeuroChip {
             }
             self.arena.stripe = stripe;
             f0 += chunk;
+            if sink(out.get(out.len() - chunk..).unwrap_or(&[])).is_break() {
+                break;
+            }
         }
 
         Recording {

@@ -12,6 +12,11 @@
 //! payload), so any single corrupted byte — including in the header —
 //! is rejected. Decode order is magic → version → length bounds → CRC →
 //! payload parse; each failure is a distinct [`ProtocolError`].
+//!
+//! Encoding is single-pass: header, payload and trailer are written into
+//! one buffer sized up front. The length field is reserved, patched once
+//! the payload is written, and the table-driven CRC-8 (same parameters
+//! as the bitwise definition, see [`crate::crc`]) is appended.
 
 use crate::crc::{crc8, Crc8};
 use crate::error::ProtocolError;
@@ -44,16 +49,19 @@ pub const MAX_FRAME_LEN: usize = MAX_PAYLOAD + FRAME_OVERHEAD;
 /// Encodes a message into one complete frame.
 #[must_use]
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let payload = msg.encode_payload();
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + msg.payload_size_hint());
+    out.extend_from_slice(&MAGIC);
+    out.push(PROTOCOL_VERSION);
+    out.extend_from_slice(&[0; 4]); // length, patched below
+    msg.encode_payload(&mut out);
+    let len = out.len() - HEADER_LEN;
     // No legitimate message approaches MAX_PAYLOAD (the largest stream
     // chunk is bounded by the station's chunking policy); this is a
     // caller-bug guard, not a wire condition.
-    assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+    assert!(len <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
+    if let Some(field) = out.get_mut(3..HEADER_LEN) {
+        field.copy_from_slice(&(len as u32).to_le_bytes());
+    }
     out.push(crc8(&out));
     out
 }
@@ -72,28 +80,13 @@ pub fn decode_frame(buf: &[u8]) -> Result<Message, ProtocolError> {
 /// Decodes one frame from the front of `buf`, returning the message and
 /// the number of bytes consumed.
 pub fn decode_frame_prefix(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
-    let header = buf.get(..HEADER_LEN).ok_or(ProtocolError::Truncated {
-        needed: HEADER_LEN,
-        available: buf.len(),
-    })?;
-    let (magic, rest) = header.split_at(2);
-    if magic != MAGIC {
-        let mut got = [0u8; 2];
-        got.copy_from_slice(magic);
-        return Err(ProtocolError::BadMagic { got });
-    }
-    let (version, len_bytes) = rest.split_at(1);
-    if version != [PROTOCOL_VERSION] {
-        return Err(ProtocolError::UnsupportedVersion {
-            got: version.first().copied().unwrap_or(0),
-        });
-    }
-    let mut len_arr = [0u8; 4];
-    len_arr.copy_from_slice(len_bytes);
-    let len = u32::from_le_bytes(len_arr) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(ProtocolError::FrameTooLarge { len });
-    }
+    let header = buf
+        .first_chunk::<HEADER_LEN>()
+        .ok_or(ProtocolError::Truncated {
+            needed: HEADER_LEN,
+            available: buf.len(),
+        })?;
+    let len = payload_len(header)?;
     let total = HEADER_LEN + len + 1;
     let frame = buf.get(..total).ok_or(ProtocolError::Truncated {
         needed: total,
@@ -108,6 +101,23 @@ pub fn decode_frame_prefix(buf: &[u8]) -> Result<(Message, usize), ProtocolError
     let payload = body.get(HEADER_LEN..).unwrap_or(&[]);
     let msg = Message::decode_payload(payload)?;
     Ok((msg, total))
+}
+
+/// Checks a frame header's magic and version and returns its declared
+/// payload length, bounded by [`MAX_PAYLOAD`].
+fn payload_len(header: &[u8; HEADER_LEN]) -> Result<usize, ProtocolError> {
+    let [m0, m1, version, l0, l1, l2, l3] = *header;
+    if [m0, m1] != MAGIC {
+        return Err(ProtocolError::BadMagic { got: [m0, m1] });
+    }
+    if version != PROTOCOL_VERSION {
+        return Err(ProtocolError::UnsupportedVersion { got: version });
+    }
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(ProtocolError::FrameTooLarge { len });
+    }
+    Ok(len)
 }
 
 /// Writes one framed message to a byte sink, returning the frame size.
@@ -125,24 +135,7 @@ pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> Result<usize, P
 pub fn read_message<R: Read>(reader: &mut R) -> Result<Message, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
-    let (magic, rest) = header.split_at(2);
-    if magic != MAGIC {
-        let mut got = [0u8; 2];
-        got.copy_from_slice(magic);
-        return Err(ProtocolError::BadMagic { got });
-    }
-    let (version, len_bytes) = rest.split_at(1);
-    if version != [PROTOCOL_VERSION] {
-        return Err(ProtocolError::UnsupportedVersion {
-            got: version.first().copied().unwrap_or(0),
-        });
-    }
-    let mut len_arr = [0u8; 4];
-    len_arr.copy_from_slice(len_bytes);
-    let len = u32::from_le_bytes(len_arr) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(ProtocolError::FrameTooLarge { len });
-    }
+    let len = payload_len(&header)?;
     // `len ≤ MAX_PAYLOAD`, so `len + 1` (payload + CRC trailer) cannot
     // overflow; the explicit cap keeps the allocation provably below
     // MAX_FRAME_LEN even if the bounds above ever drift.
@@ -290,6 +283,26 @@ mod tests {
         assert!(buf.len() < MAX_FRAME_LEN);
         let mut cursor = Cursor::new(buf);
         assert_eq!(read_message(&mut cursor).unwrap(), msg);
+    }
+
+    #[test]
+    fn stream_frame_is_written_into_one_exact_buffer() {
+        let msg = Message::StreamData {
+            chip: 1,
+            seq: 0,
+            payload: crate::message::StreamPayload::NeuroFrames {
+                first_frame: 0,
+                rows: 4,
+                cols: 4,
+                samples: vec![0.25; 3 * 16],
+            },
+        };
+        let frame = encode_frame(&msg);
+        assert_eq!(frame.capacity(), frame.len(), "frame buffer reallocated");
+        let mut payload = Vec::new();
+        msg.encode_payload(&mut payload);
+        assert_eq!(frame.get(HEADER_LEN..frame.len() - 1), Some(&payload[..]));
+        assert_eq!(decode_frame(&frame).unwrap(), msg);
     }
 
     #[test]

@@ -698,9 +698,7 @@ impl StreamPayload {
                 w.u16(*rows);
                 w.u16(*cols);
                 w.count(samples.len());
-                for &s in samples {
-                    w.f64(s);
-                }
+                w.f64s(samples);
             }
             Self::DnaCounts { readings } => {
                 w.u8(1);
@@ -719,15 +717,11 @@ impl StreamPayload {
                 let rows = r.u16()?;
                 let cols = r.u16()?;
                 let n = r.count(8, "NeuroFrames.samples")?;
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    samples.push(r.f64()?);
-                }
                 Ok(Self::NeuroFrames {
                     first_frame,
                     rows,
                     cols,
-                    samples,
+                    samples: r.f64s(n)?,
                 })
             }
             1 => {
@@ -1035,11 +1029,11 @@ impl RecordingEntry {
 }
 
 impl Message {
-    /// Serialises the message body (tag + fields) without framing.
-    /// [`crate::encode_frame`] wraps this in magic/version/length/CRC.
-    #[must_use]
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// Appends the message body (tag + fields) to `out`, without
+    /// framing. [`crate::encode_frame`] calls this on a buffer that
+    /// already holds the frame header, then appends the CRC trailer.
+    pub fn encode_payload(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(std::mem::take(out));
         match self {
             Self::Hello { client } => {
                 w.u8(TAG_HELLO);
@@ -1165,9 +1159,7 @@ impl Message {
                     w.u64(c);
                 }
                 w.count(estimated_currents_a.len());
-                for &i in estimated_currents_a {
-                    w.f64(i);
-                }
+                w.f64s(estimated_currents_a);
             }
             Self::StartNeuroStream {
                 chip,
@@ -1252,7 +1244,25 @@ impl Message {
                 w.u32(*chunk_frames);
             }
         }
-        w.into_bytes()
+        *out = w.into_bytes();
+    }
+
+    /// Bytes [`Self::encode_payload`] will append: exact for stream data
+    /// (the only large messages), a small guess for the rest. Sizes the
+    /// frame buffer so a large payload is written without reallocating.
+    #[must_use]
+    pub(crate) fn payload_size_hint(&self) -> usize {
+        match self {
+            Self::StreamData {
+                payload: StreamPayload::NeuroFrames { samples, .. },
+                ..
+            } => 22 + 8 * samples.len(),
+            Self::StreamData {
+                payload: StreamPayload::DnaCounts { readings },
+                ..
+            } => 14 + 12 * readings.len(),
+            _ => 64,
+        }
     }
 
     /// Decodes a message body produced by [`Self::encode_payload`].
@@ -1340,10 +1350,7 @@ impl Message {
                     counts.push(r.u64()?);
                 }
                 let n_currents = r.count(8, "AssayResult.estimated_currents_a")?;
-                let mut estimated_currents_a = Vec::with_capacity(n_currents);
-                for _ in 0..n_currents {
-                    estimated_currents_a.push(r.f64()?);
-                }
+                let estimated_currents_a = r.f64s(n_currents)?;
                 Self::AssayResult {
                     chip,
                     counts,
@@ -1420,8 +1427,14 @@ impl Message {
 mod tests {
     use super::*;
 
+    fn payload(msg: &Message) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        msg.encode_payload(&mut bytes);
+        bytes
+    }
+
     fn roundtrip(msg: &Message) {
-        let bytes = msg.encode_payload();
+        let bytes = payload(msg);
         let back = Message::decode_payload(&bytes).unwrap();
         assert_eq!(&back, msg);
     }
@@ -1523,11 +1536,90 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_rejected() {
-        let mut bytes = Message::Ack.encode_payload();
+        let mut bytes = payload(&Message::Ack);
         bytes.push(0);
         assert!(matches!(
             Message::decode_payload(&bytes),
             Err(ProtocolError::TrailingBytes { count: 1 })
         ));
+    }
+
+    fn neuro(samples: Vec<f64>) -> Message {
+        Message::StreamData {
+            chip: 1,
+            seq: 2,
+            payload: StreamPayload::NeuroFrames {
+                first_frame: 3,
+                rows: 1,
+                cols: samples.len() as u16,
+                samples,
+            },
+        }
+    }
+
+    #[test]
+    fn special_samples_roundtrip_bit_exactly() {
+        let samples = vec![
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF4_0000_0000_BEEF),
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x800F_FFFF_FFFF_FFFF),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let bits: Vec<u64> = samples.iter().map(|s| s.to_bits()).collect();
+        // `PartialEq` on NaN is false, so compare the decoded bits.
+        match Message::decode_payload(&payload(&neuro(samples))).unwrap() {
+            Message::StreamData {
+                payload: StreamPayload::NeuroFrames { samples: back, .. },
+                ..
+            } => assert_eq!(back.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), bits),
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sample_count_beyond_payload_is_typed() {
+        let mut bytes = payload(&neuro(vec![1.0; 4]));
+        // The sample count sits right before the 32 sample bytes.
+        let at = bytes.len() - 32 - 4;
+        for declared in [5u32, 1 << 20, u32::MAX] {
+            bytes[at..at + 4].copy_from_slice(&declared.to_le_bytes());
+            assert!(
+                matches!(
+                    Message::decode_payload(&bytes),
+                    Err(ProtocolError::InvalidValue {
+                        what: "NeuroFrames.samples"
+                    })
+                ),
+                "declared {declared}"
+            );
+        }
+    }
+
+    #[test]
+    fn size_hint_is_exact_for_stream_data() {
+        for msg in [
+            neuro(Vec::new()),
+            neuro(vec![0.5; 37]),
+            Message::StreamData {
+                chip: 0,
+                seq: 0,
+                payload: StreamPayload::DnaCounts {
+                    readings: vec![
+                        PixelCount {
+                            row: 1,
+                            col: 2,
+                            count: 3
+                        };
+                        5
+                    ],
+                },
+            },
+        ] {
+            assert_eq!(msg.payload_size_hint(), payload(&msg).len(), "{msg:?}");
+        }
     }
 }

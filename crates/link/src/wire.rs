@@ -2,7 +2,10 @@
 //!
 //! `Reader` never indexes past the buffer: every access goes through
 //! `take`, which returns [`ProtocolError::Truncated`] instead of slicing
-//! out of bounds. `Writer` is a thin `Vec<u8>` builder.
+//! out of bounds. `Writer` appends to a caller's `Vec<u8>` (taken and
+//! handed back), so a frame header, the payload and the CRC trailer
+//! share one buffer. Sample vectors move as bulk little-endian runs
+//! ([`Writer::f64s`], [`Reader::f64s`]) rather than one call per value.
 
 use crate::error::ProtocolError;
 
@@ -74,6 +77,21 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// `n` little-endian `f64`s in one run. Callers validate `n`
+    /// against the bytes left with [`Self::count`] first; an `n` that
+    /// still overruns the buffer is [`ProtocolError::Truncated`].
+    pub(crate) fn f64s(&mut self, n: usize) -> Result<Vec<f64>, ProtocolError> {
+        let bytes = self.take(n.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| {
+                let mut arr = [0u8; 8];
+                arr.copy_from_slice(c);
+                f64::from_le_bytes(arr)
+            })
+            .collect())
+    }
+
     pub(crate) fn bool(&mut self) -> Result<bool, ProtocolError> {
         match self.u8()? {
             0 => Ok(false),
@@ -115,14 +133,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-#[derive(Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// A writer appending to `buf` after whatever it already holds.
+    pub(crate) fn new(buf: Vec<u8>) -> Self {
+        Self { buf }
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
@@ -147,6 +165,17 @@ impl Writer {
 
     pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// The values as one little-endian run (no count prefix).
+    pub(crate) fn f64s(&mut self, values: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * 8, 0);
+        if let Some(run) = self.buf.get_mut(start..) {
+            for (dst, v) in run.chunks_exact_mut(8).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+        }
     }
 
     pub(crate) fn bool(&mut self, v: bool) {
@@ -175,7 +204,7 @@ mod tests {
 
     #[test]
     fn roundtrip_primitives() {
-        let mut w = Writer::new();
+        let mut w = Writer::new(Vec::new());
         w.u8(0xAB);
         w.u16(0x1234);
         w.u32(0xDEAD_BEEF);
@@ -183,6 +212,7 @@ mod tests {
         w.f64(-2.5);
         w.bool(true);
         w.string("ACGT");
+        w.f64s(&[1.5, -0.0]);
         let bytes = w.into_bytes();
 
         let mut r = Reader::new(&bytes);
@@ -193,6 +223,7 @@ mod tests {
         assert_eq!(r.f64().unwrap(), -2.5);
         assert!(r.bool().unwrap());
         assert_eq!(r.string().unwrap(), "ACGT");
+        assert_eq!(r.f64s(2).unwrap(), [1.5, -0.0]);
         assert!(r.finish().is_ok());
     }
 
@@ -204,13 +235,30 @@ mod tests {
 
     #[test]
     fn oversized_count_rejected_before_allocation() {
-        let mut w = Writer::new();
+        let mut w = Writer::new(Vec::new());
         w.u32(u32::MAX); // claims 4 billion elements in an empty buffer
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(
             r.count(8, "samples"),
             Err(ProtocolError::InvalidValue { .. })
+        ));
+    }
+
+    #[test]
+    fn bulk_f64s_past_the_end_is_truncated() {
+        let bytes = [0u8; 15];
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(
+            r.f64s(2),
+            Err(ProtocolError::Truncated {
+                needed: 16,
+                available: 15
+            })
+        ));
+        assert!(matches!(
+            r.f64s(usize::MAX),
+            Err(ProtocolError::Truncated { .. })
         ));
     }
 

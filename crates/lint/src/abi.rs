@@ -361,7 +361,8 @@ pub fn canonical_entries() -> Vec<AbiEntry> {
     canonical_messages()
         .into_iter()
         .map(|(name, msg)| {
-            let payload = msg.encode_payload();
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
             AbiEntry {
                 variant: name.to_string(),
                 tag: payload.first().copied().unwrap_or(0),
@@ -627,7 +628,8 @@ mod tests {
     fn canonical_payloads_decode_back() {
         // The canonical instances must themselves be valid wire messages.
         for (name, msg) in canonical_messages() {
-            let payload = msg.encode_payload();
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
             let back = Message::decode_payload(&payload)
                 .unwrap_or_else(|e| panic!("{name} does not round-trip: {e:?}"));
             assert_eq!(back, msg, "{name}");

@@ -34,6 +34,7 @@ use bsa_store::{
 use bsa_units::{Molar, Seconds};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -220,6 +221,15 @@ struct ActiveRecording {
     name: String,
     recorder: Recorder,
     epoch: u32,
+}
+
+impl ActiveRecording {
+    /// Claims the next epoch for one acquisition on the recorded chip.
+    fn claim_epoch(&mut self) -> u32 {
+        let epoch = self.epoch;
+        self.epoch = self.epoch.wrapping_add(1);
+        epoch
+    }
 }
 
 impl Session {
@@ -710,16 +720,6 @@ impl Session {
         })
     }
 
-    /// Claims the next recording epoch for an acquisition on `id`, if
-    /// the chip is being recorded.
-    fn tee_epoch(&mut self, id: ChipId) -> Option<u32> {
-        self.recorders.get_mut(&id).map(|active| {
-            let epoch = active.epoch;
-            active.epoch = active.epoch.wrapping_add(1);
-            epoch
-        })
-    }
-
     fn run_assay(&mut self, id: ChipId, stream_counts: bool) -> Result<(), Gone> {
         let readout = match self.registry.get_mut(id) {
             Some(Chip::Dna { chip, sample }) => chip.run_assay(sample),
@@ -748,11 +748,12 @@ impl Session {
         // reading, whether or not the client streamed). Store
         // backpressure drops-and-counts; I/O failures surface in the
         // `RecordingStopped` accounting, never in the assay reply.
-        if let Some(epoch) = self.tee_epoch(id) {
-            if let Some(active) = self.recorders.get_mut(&id) {
-                for reading in &readings {
-                    let _ = active.recorder.offer(epoch, encode_dna_reading(reading));
-                }
+        if let Some(active) = self.recorders.get_mut(&id) {
+            let epoch = active.claim_epoch();
+            for reading in &readings {
+                // Drops and rejections are counted by the recorder and
+                // reported at `StopRecording`.
+                let _ = active.recorder.offer(epoch, encode_dna_reading(reading));
             }
         }
         if stream_counts {
@@ -837,75 +838,139 @@ impl Session {
             PixelMask::new(g.rows(), g.cols(), usable)
         });
         let culture = culture_from_spec(culture_spec);
-        // One record() call for the whole stream: the chip re-seeds its
-        // deterministic RNG streams at the start of every record(), so
-        // chunking must happen on the transmit side — N smaller record()
-        // calls would NOT reproduce an in-process record(frames) run.
-        let recording = chip.record(&culture, Seconds::new(t0), frames as usize);
         // Tee epoch for an active recording on this chip: claimed once
         // per stream request, so identical request sequences produce
         // identical segments.
-        let tee_epoch = self.tee_epoch(id);
-        let mut sent: u32 = 0;
-        let mut dropped: u32 = 0;
+        let tee_epoch = self
+            .recorders
+            .get_mut(&id)
+            .map(ActiveRecording::claim_epoch);
+        let mut stream = NeuroChunks::new(id, (rows, cols), frames, chunk);
         let mut outcome = Ok(());
-        for (seq, chunk_frames) in recording.frames().chunks(chunk).enumerate() {
-            let n = chunk_frames.len() as u32;
-            let mut samples = Vec::with_capacity(chunk_frames.len() * g.len());
-            for frame in chunk_frames {
-                let start = samples.len();
-                samples.extend_from_slice(frame.samples());
-                if let Some(mask) = &mask {
-                    if let Some(copy) = samples.get_mut(start..) {
-                        let _ = mask.interpolate(copy);
+        // One record call for the whole stream, since the chip re-seeds its
+        // RNG streams at the start of every record. Its scan chunks come
+        // through the sink as soon as they are gathered; each client chunk
+        // is offered once full, so the writer thread encodes it while the
+        // scan produces the next.
+        let recording = chip.record_streamed(
+            &culture,
+            Seconds::new(t0),
+            frames as usize,
+            &mut |scanned| {
+                for frame in scanned {
+                    let samples = stream.push(frame.samples());
+                    if let Some(mask) = &mask {
+                        // The per-pixel repair report is not part of the stream.
+                        let _ = mask.interpolate(samples);
+                    }
+                    // Persist the post-mask frame *before* the outbound offer:
+                    // the segment records what the chip produced for the
+                    // client, independent of TCP backpressure.
+                    if let (Some(epoch), Some(active)) = (tee_epoch, self.recorders.get_mut(&id)) {
+                        // Drops and rejections are counted by the recorder and
+                        // reported at `StopRecording`.
+                        let _ = active.recorder.offer(epoch, encode_neuro_frame(samples));
+                    }
+                    if stream.is_full() {
+                        if let Err(gone) = stream.flush(&self.out) {
+                            outcome = Err(gone);
+                            return ControlFlow::Break(());
+                        }
                     }
                 }
-                // Persist the post-mask frame *before* the outbound
-                // offer: the segment records what the chip produced for
-                // the client, independent of TCP backpressure. The store
-                // queue drops-and-counts on its own; I/O failures
-                // surface at `StopRecording`.
-                if let Some(epoch) = tee_epoch {
-                    if let (Some(active), Some(frame_samples)) =
-                        (self.recorders.get_mut(&id), samples.get(start..))
-                    {
-                        let _ = active
-                            .recorder
-                            .offer(epoch, encode_neuro_frame(frame_samples));
-                    }
-                }
-            }
-            let msg = Message::StreamData {
-                chip: id,
-                seq: seq as u32,
-                payload: StreamPayload::NeuroFrames {
-                    first_frame: sent + dropped,
-                    rows,
-                    cols,
-                    samples,
-                },
-            };
-            match self.out.offer_stream(msg) {
-                Ok(Offer::Sent) => sent += n,
-                Ok(Offer::Dropped) => dropped += n,
-                Err(Gone) => {
-                    outcome = Err(Gone);
-                    break;
-                }
-            }
+                ControlFlow::Continue(())
+            },
+        );
+        if outcome.is_ok() {
+            outcome = stream.flush(&self.out);
         }
         // Return the buffers to the chip's arena whatever happened.
-        if let Some(Chip::Neuro(chip)) = self.registry.get_mut(id) {
-            chip.recycle(recording);
-        }
-        StationStats::add(&self.stats.frames_served, u64::from(sent));
-        StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
+        chip.recycle(recording);
+        StationStats::add(&self.stats.frames_served, u64::from(stream.sent));
+        StationStats::add(&self.stats.frames_dropped, u64::from(stream.dropped));
         outcome?;
         self.out.send_control(Message::StreamEnd {
             chip: id,
-            frames_sent: sent,
-            frames_dropped: dropped,
+            frames_sent: stream.sent,
+            frames_dropped: stream.dropped,
         })
+    }
+}
+
+/// Packs the frames of one neuro stream request into `StreamData` chunks
+/// of `chunk` frames (the last one shorter), numbering them and counting
+/// each chunk's frames as sent or dropped when it is offered.
+struct NeuroChunks {
+    id: ChipId,
+    rows: u16,
+    cols: u16,
+    frames: u32,
+    chunk: u32,
+    /// Samples of the pending chunk, one row-major frame after another.
+    samples: Vec<f64>,
+    pending: u32,
+    seq: u32,
+    sent: u32,
+    dropped: u32,
+}
+
+impl NeuroChunks {
+    fn new(id: ChipId, (rows, cols): (u16, u16), frames: u32, chunk: usize) -> Self {
+        Self {
+            id,
+            rows,
+            cols,
+            frames,
+            chunk: u32::try_from(chunk).unwrap_or(u32::MAX),
+            samples: Vec::new(),
+            pending: 0,
+            seq: 0,
+            sent: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Appends one frame and returns its copy in the pending chunk.
+    fn push(&mut self, frame: &[f64]) -> &mut [f64] {
+        if self.pending == 0 {
+            // Size the chunk buffer exactly, short last chunk included.
+            let offered = self.sent + self.dropped;
+            let chunk = self.chunk.min(self.frames.saturating_sub(offered));
+            self.samples.reserve_exact(chunk as usize * frame.len());
+        }
+        let start = self.samples.len();
+        self.samples.extend_from_slice(frame);
+        self.pending += 1;
+        self.samples.get_mut(start..).unwrap_or_default()
+    }
+
+    fn is_full(&self) -> bool {
+        self.pending >= self.chunk
+    }
+
+    /// Offers the pending frames, if any, as the next chunk.
+    fn flush(&mut self, out: &Outbound) -> Result<(), Gone> {
+        let n = std::mem::take(&mut self.pending);
+        if n == 0 {
+            return Ok(());
+        }
+        let samples = std::mem::take(&mut self.samples);
+        let msg = Message::StreamData {
+            chip: self.id,
+            seq: self.seq,
+            payload: StreamPayload::NeuroFrames {
+                first_frame: self.sent + self.dropped,
+                rows: self.rows,
+                cols: self.cols,
+                samples,
+            },
+        };
+        self.seq += 1;
+        match out.offer_stream(msg)? {
+            Offer::Sent => self.sent += n,
+            Offer::Dropped => self.dropped += n,
+        }
+        Ok(())
     }
 }
 

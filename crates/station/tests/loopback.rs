@@ -639,3 +639,188 @@ fn masked_stream_matches_in_process_repair() {
         assert_eq!(served_bits, reference_bits);
     }
 }
+
+/// One received `StreamData` chunk of neuro frames.
+struct Chunk {
+    seq: u32,
+    first_frame: u32,
+    frames: Vec<Vec<f64>>,
+}
+
+/// One raw request: sends `msg` and collects the `StreamData` chunks
+/// that answer it, up to the closing reply, which is returned beside
+/// them.
+fn raw_stream(conn: &mut TcpStream, msg: &Message) -> (Vec<Chunk>, Message) {
+    write_message(conn, msg).unwrap();
+    let mut chunks = Vec::new();
+    loop {
+        match read_message(conn).unwrap() {
+            Message::StreamData {
+                seq,
+                payload:
+                    bsa_link::StreamPayload::NeuroFrames {
+                        first_frame,
+                        rows,
+                        cols,
+                        samples,
+                    },
+                ..
+            } => {
+                let frame_len = usize::from(rows) * usize::from(cols);
+                let frames = samples.chunks(frame_len).map(<[f64]>::to_vec).collect();
+                chunks.push(Chunk {
+                    seq,
+                    first_frame,
+                    frames,
+                });
+            }
+            end => return (chunks, end),
+        }
+    }
+}
+
+fn bits(frames: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    frames
+        .iter()
+        .map(|f| f.iter().map(|s| s.to_bits()).collect())
+        .collect()
+}
+
+/// The stream is offered chunk by chunk while the scan is still running.
+/// Whatever the chunking — smaller than, equal to, not dividing, or
+/// larger than the chip's 32-frame scan chunks, across the recalibration
+/// at frame 100 — the served samples are bit-identical to one in-process
+/// `record()`, with and without a pixel mask; `seq` and `first_frame`
+/// run contiguously; and the store tee holds exactly the live stream.
+#[test]
+fn overlapped_stream_is_bit_identical_for_every_chunking() {
+    const FRAMES: u32 = 150;
+    let store_root =
+        std::env::temp_dir().join(format!("bsa-station-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let station = Station::bind(StationConfig {
+        store_root: Some(store_root.clone()),
+        // Deep enough that no chunk drops: this test is about bit
+        // identity and numbering, not backpressure.
+        queue_depth: 256,
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let spec = neuro_spec(32, 32);
+    let culture = culture_spec(FRAMES);
+    let reference = reference_frames(&spec, &culture, FRAMES as usize);
+    let masked_pixels = [0u32, 33, 500, 1023];
+    let mut usable = vec![true; 32 * 32];
+    for &p in &masked_pixels {
+        usable[p as usize] = false;
+    }
+    let mask = bsa_dsp::masking::PixelMask::new(32, 32, usable);
+    let repaired: Vec<Vec<f64>> = reference
+        .iter()
+        .map(|f| {
+            let mut f = f.clone();
+            let _ = mask.interpolate(&mut f);
+            f
+        })
+        .collect();
+
+    for masked in [false, true] {
+        for chunk_frames in [1u32, 7, 16, 32, 33, 0] {
+            let case = format!("chunk_frames {chunk_frames}, masked {masked}");
+            let name = format!("take-{chunk_frames}-{masked}");
+            let mut conn = TcpStream::connect(station.addr()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(30)))
+                .unwrap();
+            write_message(&mut conn, &Message::AttachNeuro(spec.clone())).unwrap();
+            let chip = match read_message(&mut conn).unwrap() {
+                Message::Attached { chip, .. } => chip,
+                other => panic!("expected Attached, got {other:?}"),
+            };
+            if masked {
+                write_message(
+                    &mut conn,
+                    &Message::MaskPixels {
+                        chip,
+                        pixels: masked_pixels.to_vec(),
+                    },
+                )
+                .unwrap();
+                assert!(matches!(
+                    read_message(&mut conn).unwrap(),
+                    Message::Masked { .. }
+                ));
+            }
+            write_message(
+                &mut conn,
+                &Message::StartRecording {
+                    chip,
+                    name: name.clone(),
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                read_message(&mut conn).unwrap(),
+                Message::RecordingStarted { .. }
+            ));
+
+            let (chunks, end) = raw_stream(
+                &mut conn,
+                &Message::StartNeuroStream {
+                    chip,
+                    frames: FRAMES,
+                    chunk_frames,
+                    t0_s: 0.0,
+                    culture: culture.clone(),
+                },
+            );
+            assert!(
+                matches!(
+                    end,
+                    Message::StreamEnd {
+                        frames_sent: FRAMES,
+                        frames_dropped: 0,
+                        ..
+                    }
+                ),
+                "{case}: {end:?}"
+            );
+            let per_chunk = if chunk_frames == 0 { 8 } else { chunk_frames };
+            let mut live = Vec::new();
+            for (i, chunk) in chunks.into_iter().enumerate() {
+                assert_eq!(chunk.seq as usize, i, "{case}: seq");
+                assert_eq!(
+                    chunk.first_frame as usize,
+                    live.len(),
+                    "{case}: first_frame"
+                );
+                let want = per_chunk.min(FRAMES - chunk.first_frame) as usize;
+                assert_eq!(chunk.frames.len(), want, "{case}: chunk {i} size");
+                live.extend(chunk.frames);
+            }
+            let want = if masked { &repaired } else { &reference };
+            assert_eq!(bits(&live), bits(want), "{case}: live samples");
+
+            write_message(&mut conn, &Message::StopRecording { chip }).unwrap();
+            match read_message(&mut conn).unwrap() {
+                Message::RecordingStopped {
+                    frames_written,
+                    frames_dropped,
+                    ..
+                } => assert_eq!((frames_written, frames_dropped), (u64::from(FRAMES), 0)),
+                other => panic!("{case}: expected RecordingStopped, got {other:?}"),
+            }
+            let (replayed, end) = raw_stream(
+                &mut conn,
+                &Message::Replay {
+                    name,
+                    chunk_frames: 0,
+                },
+            );
+            assert!(matches!(end, Message::StreamEnd { .. }), "{case}: {end:?}");
+            let replayed: Vec<Vec<f64>> = replayed.into_iter().flat_map(|c| c.frames).collect();
+            assert_eq!(bits(&replayed), bits(&live), "{case}: replayed segment");
+        }
+    }
+    drop(station);
+    let _ = std::fs::remove_dir_all(&store_root);
+}

@@ -133,7 +133,7 @@ impl Recorder {
         &self.name
     }
 
-    /// Frames dropped by backpressure so far.
+    /// Frames dropped so far: by backpressure, or rejected for their size.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -141,10 +141,12 @@ impl Recorder {
 
     /// Offers one frame payload to the writer queue. Never blocks: a full
     /// queue (or a dead writer thread) drops the frame and counts it. A
-    /// payload of the wrong size for the segment's kind is a caller bug
-    /// and is rejected typed instead of being persisted.
+    /// payload of the wrong size for the segment's kind is a caller bug:
+    /// it is rejected typed instead of being persisted, and counted as
+    /// dropped so the loss shows in the final [`WriteSummary`] too.
     pub fn offer(&mut self, epoch: u32, payload: Vec<u8>) -> Result<Offer, StoreError> {
         if payload.len() != self.expected_payload {
+            self.dropped += 1;
             return Err(StoreError::PayloadSize {
                 expected: self.expected_payload,
                 got: payload.len(),
@@ -234,4 +236,37 @@ fn run_writer(
         bytes_written: pos + footer.len() as u64,
         epochs,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsa_link::ChipKind;
+
+    #[test]
+    fn rejected_payloads_are_counted_as_dropped() {
+        let root = std::env::temp_dir().join(format!("bsa-store-wr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let meta = SegmentMeta {
+            chip: 1,
+            kind: ChipKind::Neuro,
+            rows: 2,
+            cols: 2,
+            config_hash: 0,
+            spec: String::new(),
+        };
+        let mut rec = Recorder::create(&root, "sizes", &meta, 32, 8).unwrap();
+        assert_eq!(rec.offer(0, vec![0; 32]).unwrap(), Offer::Accepted);
+        for bad in [0, 31, 33] {
+            assert!(matches!(
+                rec.offer(0, vec![0; bad]),
+                Err(StoreError::PayloadSize { expected: 32, got }) if got == bad
+            ));
+        }
+        assert_eq!(rec.dropped(), 3);
+        let summary = rec.finish().unwrap();
+        assert_eq!(summary.frames_written, 1);
+        assert_eq!(summary.frames_dropped, 3);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
