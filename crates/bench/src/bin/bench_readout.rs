@@ -258,17 +258,14 @@ fn parallel_threads_label(threads: Option<usize>) -> String {
 fn bench_dna(args: &Args) -> String {
     let reps = if args.quick { 20 } else { 200 };
     let mut chip = DnaChip::new(DnaChipConfig::default()).unwrap();
-    if let Some(n) = args.threads {
-        chip.set_scan_threads(Some(n));
-    }
     let n = chip.geometry().len();
     let currents: Vec<Ampere> = (0..n)
         .map(|k| Ampere::from_nano(1.0 + 0.05 * k as f64))
         .collect();
     let frame_time = chip.config().frame_time.value();
 
-    // Serial reference.
-    chip.set_scan_threads(Some(1));
+    // Array conversions always run serially, so one timed loop serves
+    // both the serial and the "parallel" fields of the record.
     let mut counts = Vec::new();
     chip.measure_currents_into(&currents, &mut counts).unwrap();
     let start = Instant::now();
@@ -276,28 +273,12 @@ fn bench_dna(args: &Args) -> String {
         chip.measure_currents_into(&currents, &mut counts).unwrap();
     }
     let serial_s = start.elapsed().as_secs_f64() / reps as f64;
-
-    // Parallel (or requested) fan-out.
-    chip.set_scan_threads(args.threads);
-    chip.measure_currents_into(&currents, &mut counts).unwrap();
-    let start = Instant::now();
-    for _ in 0..reps {
-        chip.measure_currents_into(&currents, &mut counts).unwrap();
-    }
-    let parallel_s = start.elapsed().as_secs_f64() / reps as f64;
-
-    let fps_serial = 1.0 / serial_s;
-    let fps_parallel = 1.0 / parallel_s;
-    let speedup = serial_s / parallel_s;
+    let fps = 1.0 / serial_s;
     // The chip integrates 10 s per frame: realtime is 1/frame_time.
     let realtime_hz = 1.0 / frame_time;
-    let realtime = fps_parallel / realtime_hz;
+    let realtime = fps / realtime_hz;
 
-    println!(
-        "dna 16x8, {reps} conversions: serial {:.0} frames/s, parallel {:.0} frames/s \
-         (speedup x{speedup:.2}, {:.0}x realtime)",
-        fps_serial, fps_parallel, realtime
-    );
+    println!("dna 16x8, {reps} conversions: serial {fps:.0} frames/s ({realtime:.0}x realtime)");
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"schema\": \"bsa-bench-readout/v1\",");
@@ -306,21 +287,13 @@ fn bench_dna(args: &Args) -> String {
     let _ = writeln!(json, "  \"cols\": 8,");
     let _ = writeln!(json, "  \"pixels\": {n},");
     let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(
-        json,
-        "  \"threads\": {},",
-        parallel_threads_label(args.threads)
-    );
+    let _ = writeln!(json, "  \"threads\": 1,");
     let _ = writeln!(json, "  \"serial_s\": {},", jnum(serial_s));
-    let _ = writeln!(json, "  \"parallel_s\": {},", jnum(parallel_s));
-    let _ = writeln!(json, "  \"frames_per_s_serial\": {},", jnum(fps_serial));
-    let _ = writeln!(json, "  \"frames_per_s_parallel\": {},", jnum(fps_parallel));
-    let _ = writeln!(
-        json,
-        "  \"pixel_samples_per_s\": {},",
-        jnum(fps_parallel * n as f64)
-    );
-    let _ = writeln!(json, "  \"speedup\": {},", jnum(speedup));
+    let _ = writeln!(json, "  \"parallel_s\": {},", jnum(serial_s));
+    let _ = writeln!(json, "  \"frames_per_s_serial\": {},", jnum(fps));
+    let _ = writeln!(json, "  \"frames_per_s_parallel\": {},", jnum(fps));
+    let _ = writeln!(json, "  \"pixel_samples_per_s\": {},", jnum(fps * n as f64));
+    let _ = writeln!(json, "  \"speedup\": 1,");
     let _ = writeln!(json, "  \"realtime_hz\": {},", jnum(realtime_hz));
     let _ = writeln!(json, "  \"realtime_factor\": {}", jnum(realtime));
     json.push('}');

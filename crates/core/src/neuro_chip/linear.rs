@@ -37,6 +37,7 @@
 use super::chain::{ChainCoeffs, ChannelChain};
 use super::pixel::{NeuroPixel, PixelLinearization};
 use super::scan::{ChannelPlan, ScanPlan};
+use crate::scan::fan_out;
 use bsa_circuit::noise::GaussianSampler;
 use bsa_neuro::culture::{Culture, SourceTable};
 use bsa_units::Seconds;
@@ -355,7 +356,7 @@ pub(super) fn scan_chunk_linear(
     } = state;
     debug_assert_eq!(stripe.len(), channels.len() * block);
 
-    let mut work: Vec<(
+    let work: Vec<(
         &ChannelPlan,
         &mut LinearChannel,
         ChainCoeffs,
@@ -371,49 +372,11 @@ pub(super) fn scan_chunk_linear(
         .map(|((((cp, lc), cc), rng), out)| (cp, lc, cc, rng, out))
         .collect();
 
-    if threads <= 1 {
-        for (cp, lc, cc, rng, out) in &mut work {
-            scan_channel_linear(
-                cp,
-                lc,
-                *cc,
-                rng,
-                culture,
-                frame_starts,
-                frame_period,
-                rows,
-                cpc,
-                out,
-            );
-        }
-        return;
-    }
-
-    #[cfg(feature = "parallel")]
-    rayon::scope(|s| {
-        for (cp, lc, cc, rng, out) in work {
-            s.spawn(move |_| {
-                scan_channel_linear(
-                    cp,
-                    lc,
-                    cc,
-                    rng,
-                    culture,
-                    frame_starts,
-                    frame_period,
-                    rows,
-                    cpc,
-                    out,
-                );
-            });
-        }
-    });
-    #[cfg(not(feature = "parallel"))]
-    for (cp, lc, cc, rng, out) in &mut work {
+    fan_out(threads, work, |(cp, lc, cc, rng, out)| {
         scan_channel_linear(
             cp,
             lc,
-            *cc,
+            cc,
             rng,
             culture,
             frame_starts,
@@ -422,5 +385,5 @@ pub(super) fn scan_chunk_linear(
             cpc,
             out,
         );
-    }
+    });
 }

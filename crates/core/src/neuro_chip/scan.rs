@@ -1,4 +1,4 @@
-//! The parallel, allocation-free scan engine behind [`NeuroChip::record`].
+//! The channel-parallel, allocation-free scan engine behind [`NeuroChip::record`].
 //!
 //! The paper's readout hardware is parallel by construction: the 128
 //! columns leave the chip over 16 independent output channels (Fig. 6),
@@ -16,9 +16,10 @@
 //!   channel index, replacing the single shared frame RNG that serialized
 //!   the old scan. Output is therefore identical for any thread count,
 //!   including fully serial execution.
-//! * **Channel fan-out** over the vendored rayon subset (`parallel`
-//!   feature, on by default): one scoped task per channel, work-stolen by
-//!   the pool, so no worker idles while another drags a quantized group.
+//! * **Channel fan-out** through `crate::scan::fan_out`: exactly the requested
+//!   number of workers (the caller plus scoped threads), each claiming the
+//!   next unscanned channel, so no worker idles while another drags a
+//!   quantized group; at one worker the channels run inline, in order.
 //!   A lost multiplexer channel short-circuits to a `fill(0.0)` without
 //!   evaluating a single pixel or culture sample.
 //! * **A reusable frame arena** ([`FrameArena`](crate::scan::FrameArena)):
@@ -32,6 +33,7 @@
 use super::chain::ChannelChain;
 use super::pixel::NeuroPixel;
 use crate::array::{ArrayGeometry, PixelAddress};
+use crate::scan::fan_out;
 use bsa_faults::CompiledFaults;
 use bsa_neuro::culture::Culture;
 use bsa_units::{Meter, Seconds, Volt};
@@ -189,7 +191,7 @@ pub(super) fn scan_chunk(
     let block = frame_starts.len() * rows * cpc;
     debug_assert_eq!(stripe.len(), channels.len() * block);
 
-    let mut work: Vec<(&ChannelPlan, &mut ChannelChain, &mut SmallRng, &mut [f64])> = plan
+    let work: Vec<(&ChannelPlan, &mut ChannelChain, &mut SmallRng, &mut [f64])> = plan
         .channels
         .iter()
         .zip(channels.iter_mut())
@@ -198,51 +200,11 @@ pub(super) fn scan_chunk(
         .map(|(((cp, chain), rng), out)| (cp, chain, rng, out))
         .collect();
 
-    if threads <= 1 {
-        for (cp, chain, rng, out) in &mut work {
-            scan_channel(
-                cp,
-                chain,
-                rng,
-                pixels,
-                culture,
-                dwell,
-                frame_starts,
-                rows,
-                cpc,
-                out,
-            );
-        }
-        return;
-    }
-
-    // One scoped task per channel, work-stolen by the pool. The previous
-    // contiguous grouping (`chunks_mut(channels/threads)`) quantized badly —
-    // 16 channels over 3 workers ran as 6+6+4, capping the speedup at 2.67×
-    // and collapsing to ~1× whenever the pool was smaller than the group
-    // count assumed — whereas per-channel tasks keep every worker busy
-    // until the tail.
-    #[cfg(feature = "parallel")]
-    rayon::scope(|s| {
-        for (cp, chain, rng, out) in work {
-            s.spawn(move |_| {
-                scan_channel(
-                    cp,
-                    chain,
-                    rng,
-                    pixels,
-                    culture,
-                    dwell,
-                    frame_starts,
-                    rows,
-                    cpc,
-                    out,
-                );
-            });
-        }
-    });
-    #[cfg(not(feature = "parallel"))]
-    for (cp, chain, rng, out) in &mut work {
+    // One item per channel, claimed dynamically by the workers: a fixed
+    // contiguous grouping (`chunks_mut(channels/threads)`) quantizes badly
+    // — 16 channels over 3 workers run as 6+6+4 — whereas per-channel
+    // claims keep every worker busy until the tail.
+    fan_out(threads, work, |(cp, chain, rng, out)| {
         scan_channel(
             cp,
             chain,
@@ -255,7 +217,7 @@ pub(super) fn scan_chunk(
             cpc,
             out,
         );
-    }
+    });
 }
 
 #[cfg(test)]

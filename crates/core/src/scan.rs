@@ -8,6 +8,8 @@
 //! cannot change a single sample — parallel and serial runs are
 //! bit-identical.
 
+use std::sync::{Mutex, PoisonError};
+
 /// Salt folded into the die seed for the neuro chip's frame-noise stream
 /// family, chosen so channel streams cannot collide with the other
 /// per-die derived seeds (`seed ^ 0x6A1` for gain maps, `seed ^ 0xBEEF`
@@ -61,10 +63,12 @@ pub enum ScanMode {
 /// Options controlling how a readout is fanned out over worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScanOptions {
-    /// Worker threads. `None` picks the runtime's available parallelism
-    /// (capped at the work-unit count); `Some(1)` forces the serial path.
-    /// Output is identical for every setting — per-stream RNGs make the
-    /// scan scheduling-independent.
+    /// Worker count for a neuro scan: exactly this many workers (the
+    /// caller plus scoped threads), capped at the channel count. `None`
+    /// picks the OS-reported available parallelism; `Some(1)` runs every
+    /// channel inline on the caller's thread. Output is identical for
+    /// every setting — per-stream RNGs make the scan
+    /// scheduling-independent. DNA conversions always run serially.
     pub threads: Option<usize>,
     /// Evaluation path for neuro scans (DNA conversions ignore this).
     pub mode: ScanMode,
@@ -103,20 +107,39 @@ impl ScanOptions {
     }
 }
 
-/// Resolves the effective worker count for `units` parallel work units.
-/// Without the `parallel` feature this is always 1.
+/// Resolves the effective worker count for `units` parallel work units:
+/// the requested count (default: the OS-reported available parallelism),
+/// at least 1 and at most `units`.
 pub(crate) fn resolve_threads(units: usize, opts: ScanOptions) -> usize {
-    #[cfg(feature = "parallel")]
-    let auto = rayon::current_num_threads();
-    #[cfg(not(feature = "parallel"))]
-    let auto = 1;
-    let requested = opts.threads.unwrap_or(auto).max(1);
-    #[cfg(not(feature = "parallel"))]
-    let requested = {
-        let _ = requested;
-        1
+    let auto = std::thread::available_parallelism().map_or(1, usize::from);
+    opts.threads.unwrap_or(auto).max(1).min(units.max(1))
+}
+
+/// Runs `f` once on every item over exactly `min(threads, items.len())`
+/// workers: the caller plus that many minus one scoped threads, each
+/// claiming the next unclaimed item from a shared queue. At one worker the
+/// items run inline and in order on the caller's thread. A panic in any
+/// item propagates to the caller once every worker has stopped.
+pub(crate) fn fan_out<T: Send>(threads: usize, items: Vec<T>, f: impl Fn(T) + Sync) {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        items.into_iter().for_each(f);
+        return;
+    }
+    let queue = Mutex::new(items.into_iter());
+    let work = || loop {
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        match next {
+            Some(item) => f(item),
+            None => break,
+        }
     };
-    requested.min(units.max(1))
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
 }
 
 /// Statistics of a [`FrameArena`]'s buffer pool.
@@ -182,6 +205,7 @@ impl FrameArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn channel_streams_do_not_collide_on_adjacent_indices() {
@@ -227,5 +251,46 @@ mod tests {
         assert!((1..=4).contains(&t));
         let auto = resolve_threads(16, ScanOptions::default());
         assert!((1..=16).contains(&auto));
+    }
+
+    #[test]
+    fn fan_out_runs_every_item_exactly_once() {
+        let n = 16;
+        for threads in [1, 2, 3, n, n + 5] {
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            fan_out(threads, (0..n).collect(), |i: usize| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(
+                    h.load(Ordering::Relaxed),
+                    1,
+                    "item {i} at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_at_one_thread_runs_inline_in_order() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        fan_out(1, (0..8).collect(), |i: usize| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().unwrap().push(i);
+        });
+        assert_eq!(seen.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_out_propagates_a_panicking_item() {
+        for threads in [1, 3] {
+            let result = std::panic::catch_unwind(|| {
+                fan_out(threads, (0..8).collect(), |i: usize| {
+                    assert_ne!(i, 5, "item 5 fails");
+                });
+            });
+            assert!(result.is_err(), "panic lost at {threads} threads");
+        }
     }
 }

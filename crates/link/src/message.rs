@@ -685,6 +685,18 @@ impl PixelCount {
 }
 
 impl StreamPayload {
+    /// Payload bytes of a `StreamData` message carrying `items` neuro
+    /// samples (`ChipKind::Neuro`) or count readings (`ChipKind::Dna`):
+    /// the message and payload headers, then 8 bytes per sample or 12 per
+    /// reading. Saturates instead of overflowing.
+    #[must_use]
+    pub fn message_len(kind: ChipKind, items: usize) -> usize {
+        match kind {
+            ChipKind::Neuro => items.saturating_mul(8).saturating_add(22),
+            ChipKind::Dna => items.saturating_mul(12).saturating_add(14),
+        }
+    }
+
     fn encode(&self, w: &mut Writer) {
         match self {
             Self::NeuroFrames {
@@ -1256,11 +1268,11 @@ impl Message {
             Self::StreamData {
                 payload: StreamPayload::NeuroFrames { samples, .. },
                 ..
-            } => 22 + 8 * samples.len(),
+            } => StreamPayload::message_len(ChipKind::Neuro, samples.len()),
             Self::StreamData {
                 payload: StreamPayload::DnaCounts { readings },
                 ..
-            } => 14 + 12 * readings.len(),
+            } => StreamPayload::message_len(ChipKind::Dna, readings.len()),
             _ => 64,
         }
     }

@@ -151,11 +151,12 @@ pub(crate) fn violation(
 // ---------------------------------------------------------------------------
 
 /// Reduction adapters that are order-sensitive over floats: following one of
-/// the rayon fan-out adapters with these makes the result depend on the
-/// runtime split, breaking bit-identical-across-thread-counts replay.
+/// the parallel-iterator adapters below with these makes the result depend
+/// on the runtime split, breaking bit-identical-across-thread-counts replay.
 const UNORDERED_REDUCERS: &[&str] = &["sum", "reduce", "fold_with", "product"];
 
-/// Rayon adapters that fan a computation out across threads.
+/// Parallel-iterator adapters (rayon's names) that fan a computation out
+/// across threads.
 const PAR_ADAPTERS: &[&str] = &[
     "par_iter",
     "par_iter_mut",

@@ -25,7 +25,7 @@ use bsa_dsp::masking::PixelMask;
 use bsa_electrochem::sequence::DnaSequence;
 use bsa_link::{
     read_message, write_message, ChipId, ChipKind, ErrorCode, Message, PixelCount, ProtocolError,
-    RecordingEntry, StreamPayload, PROTOCOL_VERSION,
+    RecordingEntry, StreamPayload, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use bsa_store::{
     decode_dna_reading, decode_neuro_frame, encode_dna_reading, encode_neuro_frame, fnv1a64,
@@ -56,6 +56,25 @@ const DNA_CHUNK_READINGS: usize = 64;
 /// territory — and sizes the chunk sample buffer, so it must be bounded
 /// before it feeds an allocation. Far above any real CMOS array axis.
 const MAX_REPLAY_DIM: usize = 4096;
+
+/// Checks that a `StreamData` chunk of `frames` frames (neuro frames of
+/// `rows × cols` samples, or DNA readings) fits one wire frame. An
+/// oversized chunk is refused up front instead of tripping the frame
+/// encoder on the writer thread.
+fn check_chunk_len(kind: ChipKind, frames: usize, rows: usize, cols: usize) -> Result<(), String> {
+    let items = match kind {
+        ChipKind::Neuro => frames.saturating_mul(rows).saturating_mul(cols),
+        ChipKind::Dna => frames,
+    };
+    let len = StreamPayload::message_len(kind, items);
+    if len > MAX_PAYLOAD {
+        return Err(format!(
+            "a {frames}-frame chunk is {len} bytes, over the {MAX_PAYLOAD}-byte payload limit; \
+             request smaller chunks"
+        ));
+    }
+    Ok(())
+}
 
 /// The receiving side of the session is gone (socket closed or writer
 /// dead); the session should wind down.
@@ -644,6 +663,20 @@ impl Session {
             (ChipKind::Dna, 0) => DNA_CHUNK_READINGS as u64,
             (_, n) => u64::from(n),
         };
+        let (rows, cols) = (usize::from(meta.rows), usize::from(meta.cols));
+        if meta.kind == ChipKind::Neuro && (rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM) {
+            return self.out.send_control(error_reply(
+                ErrorCode::StoreError,
+                format!("recorded geometry {rows}x{cols} exceeds the replay limit"),
+            ));
+        }
+        if let Err(message) =
+            check_chunk_len(meta.kind, chunk.min(frame_count) as usize, rows, cols)
+        {
+            return self
+                .out
+                .send_control(error_reply(ErrorCode::BadRequest, message));
+        }
         let mut sent: u32 = 0;
         let mut dropped: u32 = 0;
         let mut index = 0u64;
@@ -655,14 +688,6 @@ impl Session {
             // client's stream loop surfaces it as a server error.
             let payload = match meta.kind {
                 ChipKind::Neuro => {
-                    let rows = usize::from(meta.rows);
-                    let cols = usize::from(meta.cols);
-                    if rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM {
-                        return self.out.send_control(error_reply(
-                            ErrorCode::StoreError,
-                            format!("recorded geometry {rows}x{cols} exceeds the replay limit"),
-                        ));
-                    }
                     let mut samples = Vec::with_capacity((n as usize) * rows * cols);
                     for i in index..index + n {
                         let decoded = reader
@@ -828,6 +853,12 @@ impl Session {
         };
         let g = chip.config().geometry;
         let (rows, cols) = (g.rows() as u16, g.cols() as u16);
+        let max_chunk = chunk.min(frames as usize);
+        if let Err(message) = check_chunk_len(ChipKind::Neuro, max_chunk, g.rows(), g.cols()) {
+            return self
+                .out
+                .send_control(error_reply(ErrorCode::BadRequest, message));
+        }
         let mask = self.masks.get(&id).filter(|m| !m.is_empty()).map(|m| {
             let mut usable = vec![true; g.len()];
             for &p in m {

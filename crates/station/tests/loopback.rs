@@ -11,11 +11,12 @@
 
 use bsa_core::neuro_chip::NeuroChip;
 use bsa_link::{
-    read_message, write_message, CultureSpec, DnaChipSpec, FaultEntrySpec, FaultKindSpec,
-    FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, TargetSpec,
+    read_message, write_message, ChipKind, CultureSpec, DnaChipSpec, ErrorCode, FaultEntrySpec,
+    FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, TargetSpec,
 };
 use bsa_station::{
-    culture_from_spec, neuro_config_from_spec, Station, StationClient, StationConfig,
+    culture_from_spec, neuro_config_from_spec, ClientConfig, ClientError, Station, StationClient,
+    StationConfig,
 };
 use bsa_units::Seconds;
 use std::net::TcpStream;
@@ -581,6 +582,109 @@ fn replay_refuses_oversized_recorded_geometry() {
             );
         }
         other => panic!("expected typed server error, got {other:?}"),
+    }
+
+    drop(station);
+    let _ = std::fs::remove_dir_all(&store_root);
+}
+
+/// Client deadline for the oversized-chunk tests: long enough for a
+/// debug build to stream, short enough that a station which never
+/// answers fails the test quickly.
+const OVERSIZED_IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Frames per chunk that cannot fit one wire frame at 128x128: 130 frames
+/// of 16 384 eight-byte samples is about 17 MB, over the 16 MiB payload
+/// limit.
+const OVERSIZED_CHUNK: u32 = 130;
+
+fn expect_bad_request(err: ClientError) {
+    match err {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest, "{message}");
+            assert!(
+                message.contains("payload limit"),
+                "unexpected message: {message}"
+            );
+        }
+        other => panic!("expected a typed BadRequest, got {other:?}"),
+    }
+}
+
+/// A live stream whose chunks would overflow one wire frame is refused
+/// with a typed `BadRequest` before the chip scans, and the session and
+/// chip keep serving requests in range.
+#[test]
+fn oversized_stream_chunk_is_refused_typed() {
+    let station = start_station();
+    let config = ClientConfig {
+        io_timeout: Some(OVERSIZED_IO_TIMEOUT),
+        ..ClientConfig::default()
+    };
+    let mut client = StationClient::connect_with(station.addr(), "big-chunk", &config).unwrap();
+    let attached = client.attach_neuro(&neuro_spec(128, 128)).unwrap();
+    let err = client
+        .stream_neuro(
+            attached.chip,
+            OVERSIZED_CHUNK,
+            OVERSIZED_CHUNK,
+            Seconds::new(0.0),
+            &culture_spec(OVERSIZED_CHUNK),
+        )
+        .unwrap_err();
+    expect_bad_request(err);
+
+    let stream = client
+        .stream_neuro(attached.chip, 2, 1, Seconds::new(0.0), &culture_spec(2))
+        .unwrap();
+    assert_eq!(stream.frames.len(), 2);
+    client.ping(7).unwrap();
+}
+
+/// Replay with a chunk size whose chunks would overflow one wire frame is
+/// refused with a typed `BadRequest`; the same recording then replays
+/// whole in chunks that fit, on the same session.
+#[test]
+fn oversized_replay_chunk_is_refused_typed() {
+    use bsa_store::{encode_neuro_frame, fnv1a64, frame_payload_len, Recorder, SegmentMeta};
+
+    let store_root =
+        std::env::temp_dir().join(format!("bsa-station-bigchunk-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let meta = SegmentMeta {
+        chip: 1,
+        kind: ChipKind::Neuro,
+        rows: 128,
+        cols: 128,
+        config_hash: fnv1a64(b"big-chunk"),
+        spec: "big-chunk".into(),
+    };
+    let frames = OVERSIZED_CHUNK as usize;
+    let payload = frame_payload_len(ChipKind::Neuro, 128, 128);
+    let mut rec = Recorder::create(&store_root, "long-take", &meta, payload, frames).unwrap();
+    for k in 0..frames {
+        rec.offer(0, encode_neuro_frame(&vec![k as f64; 128 * 128]))
+            .unwrap();
+    }
+    assert_eq!(rec.finish().unwrap().frames_written, frames as u64);
+
+    let station = Station::bind(StationConfig {
+        store_root: Some(store_root.clone()),
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let config = ClientConfig {
+        io_timeout: Some(OVERSIZED_IO_TIMEOUT),
+        ..ClientConfig::default()
+    };
+    let mut client = StationClient::connect_with(station.addr(), "big-replay", &config).unwrap();
+    expect_bad_request(client.replay("long-take", OVERSIZED_CHUNK).unwrap_err());
+
+    let replayed = client.replay("long-take", 16).unwrap();
+    assert_eq!(replayed.frames_sent as usize, frames);
+    assert_eq!(replayed.frames.len(), frames);
+    for (k, frame) in replayed.frames.iter().enumerate() {
+        assert!(frame.iter().all(|&s| s == k as f64), "frame {k} corrupted");
     }
 
     drop(station);
