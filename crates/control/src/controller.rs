@@ -1,15 +1,22 @@
 //! The closed control loop: observe → classify → decide → act, with
-//! deadline-bounded, retried link calls.
+//! deadline-bounded, retried station requests.
+//!
+//! This is where the determinism boundary sits. The [`StationClient`]
+//! calls and the backoff sleep in [`Controller`] may touch sockets,
+//! deadlines and wall-clock pauses; everything they feed (classifier,
+//! policy, trace) is pure.
 
 use crate::backoff::Backoff;
 use crate::classifier::{ChipAssessment, ChipCondition, StateClassifier};
 use crate::error::ControlError;
-use crate::link::ControlLink;
 use crate::policy::{Action, PolicyEngine};
 use crate::trace::{permille, RecoveryTrace, TraceEvent};
 use bsa_link::{ChipId, CultureSpec, DnaChipSpec, NeuroChipSpec, TargetSpec};
-use bsa_station::ClientError;
+use bsa_station::{ClientError, StationClient, StreamOutcome};
+use bsa_units::Seconds;
 use std::collections::BTreeSet;
+use std::thread;
+use std::time::Duration;
 
 /// What the controller supervises.
 #[derive(Debug, Clone)]
@@ -34,7 +41,7 @@ pub enum ChipTarget {
     },
 }
 
-/// Retry bounds for deadline-bounded link requests.
+/// Retry bounds for deadline-bounded station requests.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Attempts per request (first try included).
@@ -65,8 +72,8 @@ pub struct RunOutcome {
 
 /// Drives one chip through observe/classify/decide/act cycles.
 #[derive(Debug)]
-pub struct Controller<L: ControlLink> {
-    link: L,
+pub struct Controller {
+    client: StationClient,
     target: ChipTarget,
     chip: ChipId,
     rows: u16,
@@ -80,15 +87,15 @@ pub struct Controller<L: ControlLink> {
     recovery_fraction: f64,
 }
 
-impl<L: ControlLink> Controller<L> {
+impl Controller {
     /// Attaches the target chip, calibrates it, and captures the
     /// pre-fault baseline the recovery target is measured against.
     ///
     /// # Errors
     ///
-    /// Propagates link failures (after retries for timeouts).
+    /// Propagates client failures (after retries for timeouts).
     pub fn start(
-        link: L,
+        client: StationClient,
         target: ChipTarget,
         classifier: StateClassifier,
         policy: PolicyEngine,
@@ -96,7 +103,7 @@ impl<L: ControlLink> Controller<L> {
         scenario: impl Into<String>,
     ) -> Result<Self, ControlError> {
         let mut controller = Self {
-            link,
+            client,
             target,
             chip: 0,
             rows: 0,
@@ -143,10 +150,10 @@ impl<L: ControlLink> Controller<L> {
         self.trace
     }
 
-    /// The underlying link, e.g. to inject scenario faults between
+    /// The underlying client, e.g. to inject scenario faults between
     /// baseline capture and the recovery run.
-    pub fn link_mut(&mut self) -> &mut L {
-        &mut self.link
+    pub fn client_mut(&mut self) -> &mut StationClient {
+        &mut self.client
     }
 
     /// Runs the loop for at most `max_ticks` observation windows.
@@ -155,7 +162,7 @@ impl<L: ControlLink> Controller<L> {
     ///
     /// # Errors
     ///
-    /// Propagates link failures (after retries for timeouts).
+    /// Propagates client failures (after retries for timeouts).
     pub fn run(&mut self, max_ticks: u32) -> Result<RunOutcome, ControlError> {
         let mut last_permille = 0;
         for tick in 0..max_ticks {
@@ -212,16 +219,16 @@ impl<L: ControlLink> Controller<L> {
                 culture,
                 frames_per_tick,
             } => {
-                let attached = self.with_retry(0, |link| link.attach_neuro(&spec))?;
+                let attached = self.with_retry(0, |client| client.attach_neuro(&spec))?;
                 self.chip = attached.chip;
                 self.rows = attached.rows;
                 self.cols = attached.cols;
-                self.with_retry(0, |link| link.calibrate(attached.chip))?;
+                self.with_retry(0, |client| client.calibrate(attached.chip))?;
                 let chip = self.chip;
-                let stream = self.with_retry(0, |link| {
-                    link.stream_frames(chip, frames_per_tick, &culture)
+                let stream = self.with_retry(0, |client| {
+                    stream_window(client, chip, frames_per_tick, &culture)
                 })?;
-                let summary = self.with_retry(0, |link| link.health(chip))?;
+                let summary = self.with_retry(0, |client| client.health(chip))?;
                 let assessment = self.classifier.observe_neuro(
                     &summary,
                     self.rows,
@@ -236,16 +243,16 @@ impl<L: ControlLink> Controller<L> {
                 probes,
                 targets,
             } => {
-                let attached = self.with_retry(0, |link| link.attach_dna(&spec))?;
+                let attached = self.with_retry(0, |client| client.attach_dna(&spec))?;
                 self.chip = attached.chip;
                 self.rows = attached.rows;
                 self.cols = attached.cols;
                 let chip = self.chip;
-                self.with_retry(0, |link| {
-                    link.configure_assay(chip, probes.clone(), targets.clone())
+                self.with_retry(0, |client| {
+                    client.configure_assay(chip, probes.clone(), targets.clone())
                 })?;
-                self.with_retry(0, |link| link.calibrate(chip))?;
-                let outcome = self.with_retry(0, |link| link.run_assay(chip))?;
+                self.with_retry(0, |client| client.calibrate(chip))?;
+                let outcome = self.with_retry(0, |client| client.run_assay(chip, false))?;
                 self.classifier
                     .set_dna_baseline(outcome.estimated_currents_a);
                 self.baseline_yield = 1.0;
@@ -262,10 +269,10 @@ impl<L: ControlLink> Controller<L> {
                 frames_per_tick,
                 ..
             } => {
-                let stream = self.with_retry(tick, |link| {
-                    link.stream_frames(chip, frames_per_tick, &culture)
+                let stream = self.with_retry(tick, |client| {
+                    stream_window(client, chip, frames_per_tick, &culture)
                 })?;
-                let summary = self.with_retry(tick, |link| link.health(chip))?;
+                let summary = self.with_retry(tick, |client| client.health(chip))?;
                 Ok(self.classifier.observe_neuro(
                     &summary,
                     self.rows,
@@ -275,8 +282,8 @@ impl<L: ControlLink> Controller<L> {
                 ))
             }
             ChipTarget::Dna { .. } => {
-                let outcome = self.with_retry(tick, |link| link.run_assay(chip))?;
-                let summary = self.with_retry(tick, |link| link.health(chip))?;
+                let outcome = self.with_retry(tick, |client| client.run_assay(chip, false))?;
+                let summary = self.with_retry(tick, |client| client.health(chip))?;
                 Ok(self
                     .classifier
                     .observe_dna(&summary, &outcome.estimated_currents_a))
@@ -288,17 +295,17 @@ impl<L: ControlLink> Controller<L> {
         let chip = self.chip;
         match action {
             Action::Recalibrate => {
-                self.with_retry(tick, |link| link.calibrate(chip))?;
+                self.with_retry(tick, |client| client.calibrate(chip))?;
             }
             Action::MaskPixels(pixels) => {
-                self.with_retry(tick, |link| link.mask_pixels(chip, &pixels))?;
+                self.with_retry(tick, |client| client.mask_pixels(chip, &pixels))?;
                 self.masked.extend(pixels.iter().copied());
             }
             Action::ReRunAssay => {
-                self.with_retry(tick, |link| link.run_assay(chip))?;
+                self.with_retry(tick, |client| client.run_assay(chip, false))?;
             }
             Action::Reattach { seed } => {
-                self.with_retry(tick, |link| link.detach(chip))?;
+                self.with_retry(tick, |client| client.detach(chip))?;
                 self.masked.clear();
                 self.policy.reset_escalation();
                 self.reseed_target(seed);
@@ -317,16 +324,16 @@ impl<L: ControlLink> Controller<L> {
         }
     }
 
-    /// Runs a link call, retrying timeouts with deterministic backoff.
+    /// Runs a client call, retrying timeouts with deterministic backoff.
     /// Non-timeout failures surface immediately.
     fn with_retry<T>(
         &mut self,
         tick: u32,
-        mut call: impl FnMut(&mut L) -> Result<T, ClientError>,
+        mut call: impl FnMut(&mut StationClient) -> Result<T, ClientError>,
     ) -> Result<T, ControlError> {
         let attempts = self.retry.max_attempts.max(1);
         for attempt in 0..attempts {
-            match call(&mut self.link) {
+            match call(&mut self.client) {
                 Ok(value) => return Ok(value),
                 Err(ClientError::Timeout) => {
                     if attempt + 1 < attempts {
@@ -336,7 +343,7 @@ impl<L: ControlLink> Controller<L> {
                             attempt,
                             delay_ms,
                         });
-                        self.link.pause_ms(delay_ms);
+                        thread::sleep(Duration::from_millis(delay_ms));
                     }
                 }
                 Err(other) => return Err(ControlError::Client(other)),
@@ -344,6 +351,18 @@ impl<L: ControlLink> Controller<L> {
         }
         Err(ControlError::Exhausted { attempts })
     }
+}
+
+/// Streams one observation window from a neuro chip. Fixed t0: the chip
+/// model re-seeds per recording, so the same window replays bit-exactly
+/// and recovery is measurable against a stable reference.
+fn stream_window(
+    client: &mut StationClient,
+    chip: ChipId,
+    frames: u32,
+    culture: &CultureSpec,
+) -> Result<StreamOutcome, ClientError> {
+    client.stream_neuro(chip, frames, 0, Seconds::new(0.0), culture)
 }
 
 /// Stable label for a chip condition in traces.

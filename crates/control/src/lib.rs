@@ -16,8 +16,8 @@
 //! * [`PolicyEngine`] is a deterministic function of the classified
 //!   state plus a seeded RNG stream, emitting typed [`Action`]s
 //!   (recalibrate, mask pixels, re-run assay, detach/reattach).
-//! * [`Controller`] executes actions through any [`ControlLink`]
-//!   (usually [`StationLink`] over a `StationClient`) with per-request
+//! * [`Controller`] executes actions through a
+//!   [`StationClient`](bsa_station::StationClient) with per-request
 //!   deadlines, bounded retries, and deterministic exponential
 //!   [`Backoff`] — so the loop survives chip faults *and* transport
 //!   faults.
@@ -27,9 +27,9 @@
 //! Everything inside the loop is deterministic: classification is pure,
 //! the policy RNG is seeded, and recovery traces ([`RecoveryTrace`])
 //! replay bit-identically for the same seeded scenario. Wall-clock time
-//! enters only at the link edge — socket deadlines and backoff pauses —
-//! exactly as the station's own determinism boundary draws it
-//! (DESIGN.md §12).
+//! enters only through the `StationClient` calls and backoff sleeps
+//! inside [`Controller`] — socket deadlines and pauses — exactly as the
+//! station's own determinism boundary draws it (DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,6 @@ pub mod backoff;
 pub mod classifier;
 pub mod controller;
 pub mod error;
-pub mod link;
 pub mod policy;
 pub mod scenario;
 pub mod trace;
@@ -49,7 +48,6 @@ pub use classifier::{
 };
 pub use controller::{ChipTarget, Controller, RetryPolicy, RunOutcome};
 pub use error::ControlError;
-pub use link::{ControlLink, StationLink};
 pub use policy::{Action, PolicyConfig, PolicyEngine};
 pub use scenario::{plan_to_spec, ScenarioReport};
 pub use trace::{RecoveryTrace, TraceEvent};

@@ -11,7 +11,6 @@
 use crate::classifier::{ClassifierConfig, StateClassifier};
 use crate::controller::{ChipTarget, Controller, RetryPolicy};
 use crate::error::ControlError;
-use crate::link::{ControlLink, StationLink};
 use crate::policy::{PolicyConfig, PolicyEngine};
 use crate::trace::RecoveryTrace;
 use bsa_faults::{FaultKind, InjectionPlan, PlanTarget};
@@ -132,18 +131,17 @@ fn dna_target(seed: u64) -> ChipTarget {
     }
 }
 
-fn connect(addr: SocketAddr, identity: &str) -> Result<StationLink, ControlError> {
+fn connect(addr: SocketAddr, identity: &str) -> Result<StationClient, ControlError> {
     let config = ClientConfig {
         connect_timeout: Some(Duration::from_secs(5)),
         io_timeout: Some(Duration::from_secs(30)),
     };
-    let client = StationClient::connect_with(addr, identity, &config)?;
-    Ok(StationLink::new(client))
+    Ok(StationClient::connect_with(addr, identity, &config)?)
 }
 
 fn run_scenario(
     name: &str,
-    link: StationLink,
+    client: StationClient,
     target: ChipTarget,
     seed: u64,
     plan: &InjectionPlan,
@@ -160,7 +158,7 @@ fn run_scenario(
         },
     );
     let mut controller = Controller::start(
-        link,
+        client,
         target,
         classifier,
         policy,
@@ -170,7 +168,7 @@ fn run_scenario(
     let pre_yield = crate::trace::permille(controller.baseline_yield());
     let chip = controller.chip();
     let spec = plan_to_spec(plan);
-    controller.link_mut().inject_faults(chip, spec)?;
+    controller.client_mut().inject_faults(chip, spec)?;
     let outcome = controller.run(MAX_TICKS)?;
     Ok(ScenarioReport {
         name: name.to_string(),
@@ -189,9 +187,9 @@ fn run_scenario(
 ///
 /// Connection or control-loop failures.
 pub fn dead_pixels(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, ControlError> {
-    let link = connect(addr, "control/dead-pixels")?;
+    let client = connect(addr, "control/dead-pixels")?;
     let plan = InjectionPlan::new(seed).array_wide(0.15, FaultKind::DeadPixel);
-    run_scenario("dead-pixels", link, neuro_target(seed), seed, &plan)
+    run_scenario("dead-pixels", client, neuro_target(seed), seed, &plan)
 }
 
 /// Scenario: two lost readout channels on a neuro chip, recovered by
@@ -201,9 +199,9 @@ pub fn dead_pixels(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, Contro
 ///
 /// Connection or control-loop failures.
 pub fn channel_loss(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, ControlError> {
-    let link = connect(addr, "control/channel-loss")?;
+    let client = connect(addr, "control/channel-loss")?;
     let plan = InjectionPlan::new(seed).lose_channel(2).lose_channel(5);
-    run_scenario("channel-loss", link, neuro_target(seed), seed, &plan)
+    run_scenario("channel-loss", client, neuro_target(seed), seed, &plan)
 }
 
 /// Scenario: comparator drift across a DNA array, recovered by
@@ -213,14 +211,14 @@ pub fn channel_loss(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, Contr
 ///
 /// Connection or control-loop failures.
 pub fn baseline_drift(addr: SocketAddr, seed: u64) -> Result<ScenarioReport, ControlError> {
-    let link = connect(addr, "control/baseline-drift")?;
+    let client = connect(addr, "control/baseline-drift")?;
     let plan = InjectionPlan::new(seed).array_wide(
         0.15,
         FaultKind::ComparatorDrift {
             offset: Volt::from_milli(400.0),
         },
     );
-    run_scenario("baseline-drift", link, dna_target(seed), seed, &plan)
+    run_scenario("baseline-drift", client, dna_target(seed), seed, &plan)
 }
 
 #[cfg(test)]

@@ -129,19 +129,27 @@ pub struct AssayOutcome {
     pub stream_accounting: Option<(u32, u32)>,
 }
 
-/// Result of a remote neuro stream.
+/// A collected stream: the frames of a live neuro stream, or the frames
+/// or readings of a replayed recording, with the station's accounting.
+/// Neuro streams fill `frames`, DNA streams fill `readings`, according to
+/// `kind`.
 #[derive(Debug, Clone)]
-pub struct NeuroStream {
-    /// Frame height in pixels.
+pub struct StreamOutcome {
+    /// Which array kind the stream came from.
+    pub kind: ChipKind,
+    /// Frame height in pixels (neuro streams).
     pub rows: u16,
-    /// Frame width in pixels.
+    /// Frame width in pixels (neuro streams).
     pub cols: u16,
-    /// Received frames, each `rows * cols` row-major samples, bit-exact
-    /// as recorded. Dropped frames are absent (see `frames_dropped`).
+    /// Received neuro frames, each `rows * cols` row-major samples,
+    /// bit-exact as recorded. Dropped frames are absent (see
+    /// `frames_dropped`).
     pub frames: Vec<Vec<f64>>,
-    /// Frames the station delivered into the session queue.
+    /// Received DNA count readings.
+    pub readings: Vec<PixelCount>,
+    /// Frames (or readings) the station delivered into the session queue.
     pub frames_sent: u32,
-    /// Frames dropped by backpressure.
+    /// Frames (or readings) dropped by backpressure.
     pub frames_dropped: u32,
     /// Stream chunks received.
     pub chunks: u32,
@@ -159,28 +167,6 @@ pub struct RecordingSummary {
     pub frames_dropped: u64,
     /// Segment file size in bytes, index footer included.
     pub bytes_written: u64,
-}
-
-/// A replayed recording, collected by [`StationClient::replay`]. Exactly
-/// one of `frames` / `readings` is populated, according to `kind`.
-#[derive(Debug, Clone)]
-pub struct Replayed {
-    /// Which array kind the recording came from.
-    pub kind: ChipKind,
-    /// Frame height in pixels (neuro recordings).
-    pub rows: u16,
-    /// Frame width in pixels (neuro recordings).
-    pub cols: u16,
-    /// Replayed neuro frames, bit-exact as recorded.
-    pub frames: Vec<Vec<f64>>,
-    /// Replayed DNA count readings.
-    pub readings: Vec<PixelCount>,
-    /// Frames delivered into the session queue.
-    pub frames_sent: u32,
-    /// Frames dropped by backpressure during replay.
-    pub frames_dropped: u32,
-    /// Stream chunks received.
-    pub chunks: u32,
 }
 
 /// Calibration counts returned by [`StationClient::calibrate`].
@@ -424,35 +410,23 @@ impl StationClient {
                 stream_counts,
             },
         )?;
-        let mut streamed = Vec::new();
-        let mut stream_accounting = None;
-        loop {
-            match self.read_reply()? {
-                Message::StreamData {
-                    payload: StreamPayload::DnaCounts { readings },
-                    ..
-                } => streamed.extend(readings),
-                Message::StreamEnd {
-                    frames_sent,
-                    frames_dropped,
-                    ..
-                } => {
-                    stream_accounting = Some((frames_sent, frames_dropped));
-                }
-                Message::AssayResult {
-                    counts,
-                    estimated_currents_a,
-                    ..
-                } => {
-                    return Ok(AssayOutcome {
-                        counts,
-                        estimated_currents_a,
-                        streamed,
-                        stream_accounting,
-                    });
-                }
-                other => return Err(unexpected("AssayResult", &other)),
-            }
+        let stream = if stream_counts {
+            Some(self.collect_stream()?)
+        } else {
+            None
+        };
+        match self.read_reply()? {
+            Message::AssayResult {
+                counts,
+                estimated_currents_a,
+                ..
+            } => Ok(AssayOutcome {
+                counts,
+                estimated_currents_a,
+                stream_accounting: stream.as_ref().map(|s| (s.frames_sent, s.frames_dropped)),
+                streamed: stream.map(|s| s.readings).unwrap_or_default(),
+            }),
+            other => Err(unexpected("AssayResult", &other)),
         }
     }
 
@@ -472,7 +446,7 @@ impl StationClient {
         chunk_frames: u32,
         t0: Seconds,
         culture: &CultureSpec,
-    ) -> Result<NeuroStream, ClientError> {
+    ) -> Result<StreamOutcome, ClientError> {
         write_message(
             &mut self.stream,
             &Message::StartNeuroStream {
@@ -483,52 +457,7 @@ impl StationClient {
                 culture: culture.clone(),
             },
         )?;
-        let mut result = NeuroStream {
-            rows: 0,
-            cols: 0,
-            frames: Vec::new(),
-            frames_sent: 0,
-            frames_dropped: 0,
-            chunks: 0,
-        };
-        loop {
-            match self.read_reply()? {
-                Message::StreamData {
-                    payload:
-                        StreamPayload::NeuroFrames {
-                            rows,
-                            cols,
-                            samples,
-                            ..
-                        },
-                    ..
-                } => {
-                    let frame_len = usize::from(rows) * usize::from(cols);
-                    if frame_len == 0 || samples.len() % frame_len != 0 {
-                        return Err(ClientError::Unexpected {
-                            expected: "chunk of whole frames",
-                            got: format!("{} samples for {rows}x{cols}", samples.len()),
-                        });
-                    }
-                    result.rows = rows;
-                    result.cols = cols;
-                    result.chunks += 1;
-                    for frame in samples.chunks(frame_len) {
-                        result.frames.push(frame.to_vec());
-                    }
-                }
-                Message::StreamEnd {
-                    frames_sent,
-                    frames_dropped,
-                    ..
-                } => {
-                    result.frames_sent = frames_sent;
-                    result.frames_dropped = frames_dropped;
-                    return Ok(result);
-                }
-                other => return Err(unexpected("StreamData/StreamEnd", &other)),
-            }
-        }
+        self.collect_stream()
     }
 
     /// Starts persisting a chip's streams into the station's store under
@@ -596,7 +525,7 @@ impl StationClient {
     /// Unknown or corrupted recordings surface as
     /// [`ClientError::Server`]; malformed chunks as
     /// [`ClientError::Unexpected`].
-    pub fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<Replayed, ClientError> {
+    pub fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<StreamOutcome, ClientError> {
         write_message(
             &mut self.stream,
             &Message::Replay {
@@ -604,7 +533,13 @@ impl StationClient {
                 chunk_frames,
             },
         )?;
-        let mut result = Replayed {
+        self.collect_stream()
+    }
+
+    /// Reads one stream, `StreamData`* then `StreamEnd`, checking that
+    /// every neuro chunk holds whole frames.
+    fn collect_stream(&mut self) -> Result<StreamOutcome, ClientError> {
+        let mut result = StreamOutcome {
             kind: ChipKind::Neuro,
             rows: 0,
             cols: 0,
@@ -616,38 +551,34 @@ impl StationClient {
         };
         loop {
             match self.read_reply()? {
-                Message::StreamData {
-                    payload:
+                Message::StreamData { payload, .. } => {
+                    result.chunks += 1;
+                    match payload {
                         StreamPayload::NeuroFrames {
                             rows,
                             cols,
                             samples,
                             ..
-                        },
-                    ..
-                } => {
-                    let frame_len = usize::from(rows) * usize::from(cols);
-                    if frame_len == 0 || samples.len() % frame_len != 0 {
-                        return Err(ClientError::Unexpected {
-                            expected: "chunk of whole frames",
-                            got: format!("{} samples for {rows}x{cols}", samples.len()),
-                        });
+                        } => {
+                            let frame_len = usize::from(rows) * usize::from(cols);
+                            if frame_len == 0 || samples.len() % frame_len != 0 {
+                                return Err(ClientError::Unexpected {
+                                    expected: "chunk of whole frames",
+                                    got: format!("{} samples for {rows}x{cols}", samples.len()),
+                                });
+                            }
+                            result.kind = ChipKind::Neuro;
+                            result.rows = rows;
+                            result.cols = cols;
+                            result
+                                .frames
+                                .extend(samples.chunks(frame_len).map(<[f64]>::to_vec));
+                        }
+                        StreamPayload::DnaCounts { readings } => {
+                            result.kind = ChipKind::Dna;
+                            result.readings.extend(readings);
+                        }
                     }
-                    result.kind = ChipKind::Neuro;
-                    result.rows = rows;
-                    result.cols = cols;
-                    result.chunks += 1;
-                    for frame in samples.chunks(frame_len) {
-                        result.frames.push(frame.to_vec());
-                    }
-                }
-                Message::StreamData {
-                    payload: StreamPayload::DnaCounts { readings },
-                    ..
-                } => {
-                    result.kind = ChipKind::Dna;
-                    result.chunks += 1;
-                    result.readings.extend(readings);
                 }
                 Message::StreamEnd {
                     frames_sent,

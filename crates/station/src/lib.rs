@@ -44,8 +44,8 @@ mod session;
 mod stats;
 
 pub use client::{
-    AssayOutcome, AttachedChip, CalibrationCounts, ClientConfig, ClientError, NeuroStream,
-    RecordingSummary, Replayed, StationClient,
+    AssayOutcome, AttachedChip, CalibrationCounts, ClientConfig, ClientError, RecordingSummary,
+    StationClient, StreamOutcome,
 };
 pub use registry::{
     culture_from_spec, dna_config_from_spec, injection_plan_from_spec, neuro_config_from_spec,

@@ -7,14 +7,15 @@
 //! "bit-identical to a direct `record()` call" is checked against the
 //! exact configuration the wire spec produces.
 
+use crate::session::error_reply;
 use bsa_core::array::ArrayGeometry;
 use bsa_core::dna_chip::{DnaChip, DnaChipConfig, SampleMix};
 use bsa_core::neuro_chip::{NeuroChip, NeuroChipConfig};
-use bsa_core::{ChipError, YieldReport};
+use bsa_core::{ChipError, HealthMonitor, YieldReport};
 use bsa_faults::{FaultKind, InjectionPlan};
 use bsa_link::{
-    ChipId, CultureSpec, DnaChipSpec, FaultKindSpec, FaultPlanSpec, FaultTargetSpec, NeuroChipSpec,
-    SerialLinkSummary, YieldSummary,
+    ChipId, ChipKind, CultureSpec, DnaChipSpec, ErrorCode, FaultKindSpec, FaultPlanSpec,
+    FaultTargetSpec, Message, NeuroChipSpec, SerialLinkSummary, YieldSummary,
 };
 use bsa_neuro::culture::{Culture, CultureConfig};
 use bsa_units::{Ampere, Hertz, Seconds, Volt};
@@ -166,6 +167,55 @@ pub(crate) enum Chip {
     Neuro(Box<NeuroChip>),
 }
 
+impl Chip {
+    pub(crate) fn kind(&self) -> ChipKind {
+        match self {
+            Self::Dna { .. } => ChipKind::Dna,
+            Self::Neuro(_) => ChipKind::Neuro,
+        }
+    }
+
+    pub(crate) fn geometry(&self) -> ArrayGeometry {
+        match self {
+            Self::Dna { chip, .. } => chip.geometry(),
+            Self::Neuro(chip) => chip.config().geometry,
+        }
+    }
+
+    /// The Debug rendering of the resolved configuration: the spec
+    /// snapshot a recording stores.
+    pub(crate) fn spec(&self) -> String {
+        match self {
+            Self::Dna { chip, .. } => format!("{:?}", chip.config()),
+            Self::Neuro(chip) => format!("{:?}", chip.config()),
+        }
+    }
+
+    pub(crate) fn health(&self) -> &HealthMonitor {
+        match self {
+            Self::Dna { chip, .. } => chip.health(),
+            Self::Neuro(chip) => chip.health(),
+        }
+    }
+
+    pub(crate) fn yield_report(&self) -> YieldReport {
+        match self {
+            Self::Dna { chip, .. } => chip.yield_report(),
+            Self::Neuro(chip) => chip.yield_report(),
+        }
+    }
+
+    /// Compiles `plan` against the chip's geometry and applies it.
+    pub(crate) fn inject_faults(&mut self, plan: &InjectionPlan) -> Result<(), ChipError> {
+        let g = self.geometry();
+        let faults = plan.compile(g.rows(), g.cols());
+        match self {
+            Self::Dna { chip, .. } => chip.inject_faults(&faults),
+            Self::Neuro(chip) => chip.inject_faults(&faults),
+        }
+    }
+}
+
 /// Session-scoped chip table. A `Vec` keyed by id: sessions hold a
 /// handful of chips, and iteration order stays deterministic.
 #[derive(Debug, Default)]
@@ -187,6 +237,35 @@ impl Registry {
             .iter_mut()
             .find(|(cid, _)| *cid == id)
             .map(|(_, chip)| chip)
+    }
+
+    /// Looks up a chip; a stale handle gets the `UnknownChip` reply.
+    pub(crate) fn chip(&mut self, id: ChipId) -> Result<&mut Chip, Message> {
+        self.get_mut(id)
+            .ok_or_else(|| error_reply(ErrorCode::UnknownChip, format!("no chip {id}")))
+    }
+
+    /// Looks up a DNA chip and its sample; a neuro chip gets the
+    /// `WrongChipKind` reply.
+    pub(crate) fn dna(&mut self, id: ChipId) -> Result<(&mut DnaChip, &mut SampleMix), Message> {
+        match self.chip(id)? {
+            Chip::Dna { chip, sample } => Ok((chip, sample)),
+            Chip::Neuro(_) => Err(error_reply(
+                ErrorCode::WrongChipKind,
+                "assays run on DNA chips".into(),
+            )),
+        }
+    }
+
+    /// Looks up a neuro chip; a DNA chip gets the `WrongChipKind` reply.
+    pub(crate) fn neuro(&mut self, id: ChipId) -> Result<&mut NeuroChip, Message> {
+        match self.chip(id)? {
+            Chip::Neuro(chip) => Ok(chip),
+            Chip::Dna { .. } => Err(error_reply(
+                ErrorCode::WrongChipKind,
+                "streams run on neuro chips".into(),
+            )),
+        }
     }
 
     pub(crate) fn detach(&mut self, id: ChipId) -> bool {

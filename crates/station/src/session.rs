@@ -12,6 +12,14 @@
 //! dropped on the spot and counted, so the server never buffers without
 //! bound and the consumer learns exactly how many frames it lost from
 //! `StreamEnd { frames_dropped, .. }`.
+//!
+//! # Streams
+//!
+//! Live neuro streams, replays and assay count streams all go through
+//! one `Emitter`, which numbers chunks, offers them, and counts their
+//! frames into `frames_served`/`frames_dropped` when the stream ends. A
+//! stream aborted by an error (a corrupt stored record, a vanished
+//! client) still counts the frames it delivered before the abort.
 
 use crate::registry::{
     culture_from_spec, dna_config_from_spec, injection_plan_from_spec, neuro_config_from_spec,
@@ -29,7 +37,8 @@ use bsa_link::{
 };
 use bsa_store::{
     decode_dna_reading, decode_neuro_frame, encode_dna_reading, encode_neuro_frame, fnv1a64,
-    frame_payload_len, list_recordings, Recorder, SegmentMeta, SegmentReader, DEFAULT_QUEUE_DEPTH,
+    frame_payload_len, list_recordings, Recorder, SegmentMeta, SegmentReader, StoreError,
+    DEFAULT_QUEUE_DEPTH,
 };
 use bsa_units::{Molar, Seconds};
 use std::collections::{BTreeMap, BTreeSet};
@@ -49,32 +58,13 @@ pub(crate) const MAX_STREAM_FRAMES: u32 = 4096;
 pub(crate) const DEFAULT_CHUNK_FRAMES: u32 = 8;
 
 /// DNA count readings per streamed chunk.
-const DNA_CHUNK_READINGS: usize = 64;
+const DNA_CHUNK_READINGS: u32 = 64;
 
 /// Upper bound on a recorded frame's rows/cols accepted for replay. The
 /// geometry comes from a stored segment header — attacker/corruption
 /// territory — and sizes the chunk sample buffer, so it must be bounded
 /// before it feeds an allocation. Far above any real CMOS array axis.
 const MAX_REPLAY_DIM: usize = 4096;
-
-/// Checks that a `StreamData` chunk of `frames` frames (neuro frames of
-/// `rows × cols` samples, or DNA readings) fits one wire frame. An
-/// oversized chunk is refused up front instead of tripping the frame
-/// encoder on the writer thread.
-fn check_chunk_len(kind: ChipKind, frames: usize, rows: usize, cols: usize) -> Result<(), String> {
-    let items = match kind {
-        ChipKind::Neuro => frames.saturating_mul(rows).saturating_mul(cols),
-        ChipKind::Dna => frames,
-    };
-    let len = StreamPayload::message_len(kind, items);
-    if len > MAX_PAYLOAD {
-        return Err(format!(
-            "a {frames}-frame chunk is {len} bytes, over the {MAX_PAYLOAD}-byte payload limit; \
-             request smaller chunks"
-        ));
-    }
-    Ok(())
-}
 
 /// The receiving side of the session is gone (socket closed or writer
 /// dead); the session should wind down.
@@ -252,93 +242,51 @@ impl ActiveRecording {
 }
 
 impl Session {
-    /// Handles one request. `Err(Gone)` means the connection is dead.
+    /// Handles one request and sends its reply. `Err(Gone)` means the
+    /// connection is dead.
     fn handle(&mut self, msg: Message) -> Result<(), Gone> {
-        match msg {
-            Message::Hello { .. } => self.out.send_control(Message::HelloAck {
+        let reply = match msg {
+            Message::Hello { .. } => Message::HelloAck {
                 server: format!("bsa-station/{}", env!("CARGO_PKG_VERSION")),
                 version: PROTOCOL_VERSION,
-            }),
-            Message::Ping { token } => self.out.send_control(Message::Pong { token }),
-            Message::AttachDna(spec) => {
-                let reply = self.attach_dna(&spec);
-                self.out.send_control(reply)
-            }
-            Message::AttachNeuro(spec) => {
-                let reply = self.attach_neuro(&spec);
-                self.out.send_control(reply)
-            }
-            Message::Detach { chip } => {
-                let reply = if self.registry.detach(chip) {
-                    self.masks.remove(&chip);
-                    // Dropping the recorder joins its writer thread and
-                    // finalises the segment; the client simply does not
-                    // get the `RecordingStopped` accounting.
-                    self.recorders.remove(&chip);
-                    Message::Detached { chip }
-                } else {
-                    error_reply(ErrorCode::UnknownChip, format!("no chip {chip}"))
-                };
-                self.out.send_control(reply)
-            }
+            },
+            Message::Ping { token } => Message::Pong { token },
+            Message::AttachDna(spec) => self.attach_dna(&spec),
+            Message::AttachNeuro(spec) => self.attach_neuro(&spec),
+            Message::Detach { chip } => self.detach(chip),
             Message::ConfigureAssay {
                 chip,
                 probes,
                 targets,
-            } => {
-                let reply = self.configure_assay(chip, &probes, &targets);
-                self.out.send_control(reply)
-            }
-            Message::Calibrate { chip } => {
-                let reply = self.calibrate(chip);
-                self.out.send_control(reply)
-            }
-            Message::InjectFaults { chip, plan } => {
-                let reply = self.inject_faults(chip, &plan);
-                self.out.send_control(reply)
-            }
-            Message::QueryHealth { chip } => {
-                let reply = self.query_health(chip);
-                self.out.send_control(reply)
-            }
-            Message::MaskPixels { chip, pixels } => {
-                let reply = self.mask_pixels(chip, &pixels);
-                self.out.send_control(reply)
-            }
+            } => self.configure_assay(chip, &probes, &targets),
+            Message::Calibrate { chip } => self.calibrate(chip),
+            Message::InjectFaults { chip, plan } => self.inject_faults(chip, &plan),
+            Message::QueryHealth { chip } => self.query_health(chip),
+            Message::MaskPixels { chip, pixels } => self.mask_pixels(chip, &pixels),
             Message::RunAssay {
                 chip,
                 stream_counts,
-            } => self.run_assay(chip, stream_counts),
+            } => self.run_assay(chip, stream_counts)?,
             Message::StartNeuroStream {
                 chip,
                 frames,
                 chunk_frames,
                 t0_s,
                 culture,
-            } => self.neuro_stream(chip, frames, chunk_frames, t0_s, &culture),
-            Message::QueryStats => self
-                .out
-                .send_control(Message::StatsReport(self.stats.snapshot())),
-            Message::StartRecording { chip, name } => {
-                let reply = self.start_recording(chip, &name);
-                self.out.send_control(reply)
-            }
-            Message::StopRecording { chip } => {
-                let reply = self.stop_recording(chip);
-                self.out.send_control(reply)
-            }
-            Message::ListRecordings => {
-                let reply = self.list_store();
-                self.out.send_control(reply)
-            }
-            Message::Replay { name, chunk_frames } => self.replay(&name, chunk_frames),
+            } => self.neuro_stream(chip, frames, chunk_frames, t0_s, &culture)?,
+            Message::QueryStats => Message::StatsReport(self.stats.snapshot()),
+            Message::StartRecording { chip, name } => self.start_recording(chip, &name),
+            Message::StopRecording { chip } => self.stop_recording(chip),
+            Message::ListRecordings => self.list_store(),
+            Message::Replay { name, chunk_frames } => self.replay(&name, chunk_frames)?,
             // Server-to-client messages arriving at the server are a
             // client bug, not a transport failure: answer and carry on.
-            other => self.out.send_control(error_reply(
+            other => error_reply(
                 ErrorCode::BadRequest,
                 format!("unexpected message at server: {other:?}"),
-            )),
-        }
+            ),
+        };
+        self.out.send_control(reply)
     }
 
     fn attach_dna(&mut self, spec: &bsa_link::DnaChipSpec) -> Message {
@@ -394,6 +342,19 @@ impl Session {
         }
     }
 
+    fn detach(&mut self, id: ChipId) -> Message {
+        if let Err(reply) = self.registry.chip(id) {
+            return reply;
+        }
+        self.registry.detach(id);
+        self.masks.remove(&id);
+        // Dropping the recorder joins its writer thread and finalises the
+        // segment; the client simply does not get the `RecordingStopped`
+        // accounting.
+        self.recorders.remove(&id);
+        Message::Detached { chip: id }
+    }
+
     fn configure_assay(
         &mut self,
         id: ChipId,
@@ -425,71 +386,49 @@ impl Session {
             }
             sample = sample.with_target(seq, Molar::new(target.concentration_molar));
         }
-        match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, sample: slot }) => {
+        match self.registry.dna(id) {
+            Ok((chip, slot)) => {
                 chip.spot_all(&parsed);
                 *slot = sample;
                 Message::Ack
             }
-            Some(Chip::Neuro(_)) => {
-                error_reply(ErrorCode::WrongChipKind, "assays run on DNA chips".into())
-            }
-            None => error_reply(ErrorCode::UnknownChip, format!("no chip {id}")),
+            Err(reply) => reply,
         }
     }
 
     fn calibrate(&mut self, id: ChipId) -> Message {
-        match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, .. }) => {
+        let chip = match self.registry.chip(id) {
+            Ok(chip) => chip,
+            Err(reply) => return reply,
+        };
+        match chip {
+            Chip::Dna { chip, .. } => {
                 let _ = chip.auto_calibrate();
-                let health = chip.health();
-                Message::CalibrationDone {
-                    chip: id,
-                    healthy: health.count(PixelHealth::Healthy) as u32,
-                    out_of_family: health.count(PixelHealth::OutOfFamily) as u32,
-                    dead: health.count(PixelHealth::Dead) as u32,
-                }
             }
-            Some(Chip::Neuro(chip)) => {
-                chip.calibrate(Seconds::new(0.0));
-                let health = chip.health();
-                Message::CalibrationDone {
-                    chip: id,
-                    healthy: health.count(PixelHealth::Healthy) as u32,
-                    out_of_family: health.count(PixelHealth::OutOfFamily) as u32,
-                    dead: health.count(PixelHealth::Dead) as u32,
-                }
-            }
-            None => error_reply(ErrorCode::UnknownChip, format!("no chip {id}")),
+            Chip::Neuro(chip) => chip.calibrate(Seconds::new(0.0)),
+        }
+        let health = chip.health();
+        Message::CalibrationDone {
+            chip: id,
+            healthy: health.count(PixelHealth::Healthy) as u32,
+            out_of_family: health.count(PixelHealth::OutOfFamily) as u32,
+            dead: health.count(PixelHealth::Dead) as u32,
         }
     }
 
     fn inject_faults(&mut self, id: ChipId, plan: &bsa_link::FaultPlanSpec) -> Message {
         let plan = injection_plan_from_spec(plan);
-        match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, .. }) => {
-                let g = chip.geometry();
-                match chip.inject_faults(&plan.compile(g.rows(), g.cols())) {
-                    Ok(()) => Message::Ack,
-                    Err(err) => error_reply(ErrorCode::ChipError, err.to_string()),
-                }
-            }
-            Some(Chip::Neuro(chip)) => {
-                let g = chip.config().geometry;
-                match chip.inject_faults(&plan.compile(g.rows(), g.cols())) {
-                    Ok(()) => Message::Ack,
-                    Err(err) => error_reply(ErrorCode::ChipError, err.to_string()),
-                }
-            }
-            None => error_reply(ErrorCode::UnknownChip, format!("no chip {id}")),
+        match self.registry.chip(id).map(|chip| chip.inject_faults(&plan)) {
+            Ok(Ok(())) => Message::Ack,
+            Ok(Err(err)) => error_reply(ErrorCode::ChipError, err.to_string()),
+            Err(reply) => reply,
         }
     }
 
     fn mask_pixels(&mut self, id: ChipId, pixels: &[u32]) -> Message {
-        let len = match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, .. }) => chip.geometry().len(),
-            Some(Chip::Neuro(chip)) => chip.config().geometry.len(),
-            None => return error_reply(ErrorCode::UnknownChip, format!("no chip {id}")),
+        let len = match self.registry.chip(id) {
+            Ok(chip) => chip.geometry().len(),
+            Err(reply) => return reply,
         };
         if let Some(&bad) = pixels.iter().find(|&&p| p as usize >= len) {
             return error_reply(
@@ -506,17 +445,21 @@ impl Session {
     }
 
     fn query_health(&mut self, id: ChipId) -> Message {
-        match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, .. }) => Message::HealthReport {
+        match self.registry.chip(id) {
+            Ok(chip) => Message::HealthReport {
                 chip: id,
                 report: yield_summary(&chip.yield_report()),
             },
-            Some(Chip::Neuro(chip)) => Message::HealthReport {
-                chip: id,
-                report: yield_summary(&chip.yield_report()),
-            },
-            None => error_reply(ErrorCode::UnknownChip, format!("no chip {id}")),
+            Err(reply) => reply,
         }
+    }
+
+    /// The store root; a station started without one answers
+    /// `StoreError`.
+    fn store_root(&self) -> Result<PathBuf, Message> {
+        self.store_root
+            .clone()
+            .ok_or_else(|| store_error("station has no store root (start with --store DIR)"))
     }
 
     /// Opens a store segment and begins teeing the chip's streams to it.
@@ -525,39 +468,18 @@ impl Session {
     /// spec), hashed with FNV-1a-64 so replay consumers can check which
     /// configuration produced a recording without parsing the spec.
     fn start_recording(&mut self, id: ChipId, name: &str) -> Message {
-        let Some(root) = self.store_root.clone() else {
-            return error_reply(
-                ErrorCode::StoreError,
-                "station has no store root (start with --store DIR)".into(),
-            );
+        let root = match self.store_root() {
+            Ok(root) => root,
+            Err(reply) => return reply,
         };
         if self.recorders.contains_key(&id) {
-            return error_reply(
-                ErrorCode::StoreError,
-                format!("chip {id} already recording"),
-            );
+            return store_error(format!("chip {id} already recording"));
         }
-        let (kind, rows, cols, spec) = match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, .. }) => {
-                let g = chip.geometry();
-                (
-                    ChipKind::Dna,
-                    g.rows() as u16,
-                    g.cols() as u16,
-                    format!("{:?}", chip.config()),
-                )
-            }
-            Some(Chip::Neuro(chip)) => {
-                let g = chip.config().geometry;
-                (
-                    ChipKind::Neuro,
-                    g.rows() as u16,
-                    g.cols() as u16,
-                    format!("{:?}", chip.config()),
-                )
-            }
-            None => return error_reply(ErrorCode::UnknownChip, format!("no chip {id}")),
+        let (kind, g, spec) = match self.registry.chip(id) {
+            Ok(chip) => (chip.kind(), chip.geometry(), chip.spec()),
+            Err(reply) => return reply,
         };
+        let (rows, cols) = (g.rows() as u16, g.cols() as u16);
         let meta = SegmentMeta {
             chip: id,
             kind,
@@ -587,7 +509,7 @@ impl Session {
                     name: name.to_string(),
                 }
             }
-            Err(err) => error_reply(ErrorCode::StoreError, err.to_string()),
+            Err(err) => store_error(err),
         }
     }
 
@@ -596,7 +518,7 @@ impl Session {
     /// high water, exactly like the outbound stream queue).
     fn stop_recording(&mut self, id: ChipId) -> Message {
         let Some(active) = self.recorders.remove(&id) else {
-            return error_reply(ErrorCode::StoreError, format!("chip {id} is not recording"));
+            return store_error(format!("chip {id} is not recording"));
         };
         match active.recorder.finish() {
             Ok(summary) => Message::RecordingStopped {
@@ -606,18 +528,16 @@ impl Session {
                 frames_dropped: summary.frames_dropped,
                 bytes_written: summary.bytes_written,
             },
-            Err(err) => error_reply(ErrorCode::StoreError, err.to_string()),
+            Err(err) => store_error(err),
         }
     }
 
     fn list_store(&self) -> Message {
-        let Some(root) = &self.store_root else {
-            return error_reply(
-                ErrorCode::StoreError,
-                "station has no store root (start with --store DIR)".into(),
-            );
+        let root = match self.store_root() {
+            Ok(root) => root,
+            Err(reply) => return reply,
         };
-        match list_recordings(root) {
+        match list_recordings(&root) {
             Ok(entries) => Message::RecordingList {
                 recordings: entries
                     .into_iter()
@@ -632,7 +552,7 @@ impl Session {
                     })
                     .collect(),
             },
-            Err(err) => error_reply(ErrorCode::StoreError, err.to_string()),
+            Err(err) => store_error(err),
         }
     }
 
@@ -640,125 +560,37 @@ impl Session {
     /// `StreamEnd` grammar a live chip produces, under the recorded chip
     /// id. Neuro payloads are decoded from their raw IEEE-754 bits, so a
     /// replayed frame is `f64::to_bits`-identical to the recorded one.
-    fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<(), Gone> {
-        let Some(root) = self.store_root.clone() else {
-            return self.out.send_control(error_reply(
-                ErrorCode::StoreError,
-                "station has no store root (start with --store DIR)".into(),
-            ));
+    fn replay(&mut self, name: &str, chunk_frames: u32) -> Result<Message, Gone> {
+        let root = match self.store_root() {
+            Ok(root) => root,
+            Err(reply) => return Ok(reply),
         };
         let mut reader = match SegmentReader::open_named(&root, name) {
             Ok(reader) => reader,
-            Err(err) => {
-                return self
-                    .out
-                    .send_control(error_reply(ErrorCode::StoreError, err.to_string()))
-            }
+            Err(err) => return Ok(store_error(err)),
         };
-        let meta = reader.meta().clone();
-        let id = meta.chip;
-        let frame_count = reader.frames();
-        let chunk = match (meta.kind, chunk_frames) {
-            (ChipKind::Neuro, 0) => u64::from(DEFAULT_CHUNK_FRAMES),
-            (ChipKind::Dna, 0) => DNA_CHUNK_READINGS as u64,
-            (_, n) => u64::from(n),
-        };
+        let meta = reader.meta();
         let (rows, cols) = (usize::from(meta.rows), usize::from(meta.cols));
-        if meta.kind == ChipKind::Neuro && (rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM) {
-            return self.out.send_control(error_reply(
-                ErrorCode::StoreError,
+        match meta.kind {
+            ChipKind::Neuro if rows > MAX_REPLAY_DIM || cols > MAX_REPLAY_DIM => Ok(store_error(
                 format!("recorded geometry {rows}x{cols} exceeds the replay limit"),
-            ));
-        }
-        if let Err(message) =
-            check_chunk_len(meta.kind, chunk.min(frame_count) as usize, rows, cols)
-        {
-            return self
-                .out
-                .send_control(error_reply(ErrorCode::BadRequest, message));
-        }
-        let mut sent: u32 = 0;
-        let mut dropped: u32 = 0;
-        let mut index = 0u64;
-        let mut seq: u32 = 0;
-        while index < frame_count {
-            let n = chunk.min(frame_count - index);
-            // Assemble one chunk from n consecutive records. A corrupted
-            // record aborts the replay with a typed error reply; the
-            // client's stream loop surfaces it as a server error.
-            let payload = match meta.kind {
-                ChipKind::Neuro => {
-                    let mut samples = Vec::with_capacity((n as usize) * rows * cols);
-                    for i in index..index + n {
-                        let decoded = reader
-                            .frame(i)
-                            .and_then(|frame| decode_neuro_frame(frame.payload, &mut samples));
-                        if let Err(err) = decoded {
-                            return self
-                                .out
-                                .send_control(error_reply(ErrorCode::StoreError, err.to_string()));
-                        }
-                    }
-                    StreamPayload::NeuroFrames {
-                        first_frame: sent.saturating_add(dropped),
-                        rows: meta.rows,
-                        cols: meta.cols,
-                        samples,
-                    }
-                }
-                ChipKind::Dna => {
-                    let mut readings = Vec::with_capacity(n as usize);
-                    for i in index..index + n {
-                        let decoded = reader
-                            .frame(i)
-                            .and_then(|frame| decode_dna_reading(frame.payload));
-                        match decoded {
-                            Ok(reading) => readings.push(reading),
-                            Err(err) => {
-                                return self.out.send_control(error_reply(
-                                    ErrorCode::StoreError,
-                                    err.to_string(),
-                                ))
-                            }
-                        }
-                    }
-                    StreamPayload::DnaCounts { readings }
-                }
-            };
-            match self.out.offer_stream(Message::StreamData {
-                chip: id,
-                seq,
-                payload,
-            })? {
-                Offer::Sent => sent = sent.saturating_add(n as u32),
-                Offer::Dropped => dropped = dropped.saturating_add(n as u32),
+            )),
+            ChipKind::Neuro => {
+                replay_records(&self.out, &mut reader, chunk_frames, decode_neuro_frame)
             }
-            seq = seq.wrapping_add(1);
-            index += n;
+            ChipKind::Dna => {
+                replay_records(&self.out, &mut reader, chunk_frames, |payload, buf| {
+                    buf.push(decode_dna_reading(payload)?);
+                    Ok(())
+                })
+            }
         }
-        StationStats::add(&self.stats.frames_served, u64::from(sent));
-        StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
-        self.out.send_control(Message::StreamEnd {
-            chip: id,
-            frames_sent: sent,
-            frames_dropped: dropped,
-        })
     }
 
-    fn run_assay(&mut self, id: ChipId, stream_counts: bool) -> Result<(), Gone> {
-        let readout = match self.registry.get_mut(id) {
-            Some(Chip::Dna { chip, sample }) => chip.run_assay(sample),
-            Some(Chip::Neuro(_)) => {
-                return self.out.send_control(error_reply(
-                    ErrorCode::WrongChipKind,
-                    "assays run on DNA chips".into(),
-                ))
-            }
-            None => {
-                return self
-                    .out
-                    .send_control(error_reply(ErrorCode::UnknownChip, format!("no chip {id}")))
-            }
+    fn run_assay(&mut self, id: ChipId, stream_counts: bool) -> Result<Message, Gone> {
+        let readout = match self.registry.dna(id) {
+            Ok((chip, sample)) => chip.run_assay(sample),
+            Err(reply) => return Ok(reply),
         };
         let readings: Vec<PixelCount> = readout
             .to_readings()
@@ -782,31 +614,19 @@ impl Session {
             }
         }
         if stream_counts {
-            let mut sent: u32 = 0;
-            let mut dropped: u32 = 0;
-            for (seq, chunk) in readings.chunks(DNA_CHUNK_READINGS).enumerate() {
-                let n = chunk.len() as u32;
-                let msg = Message::StreamData {
-                    chip: id,
-                    seq: seq as u32,
-                    payload: StreamPayload::DnaCounts {
-                        readings: chunk.to_vec(),
-                    },
-                };
-                match self.out.offer_stream(msg)? {
-                    Offer::Sent => sent += n,
-                    Offer::Dropped => dropped += n,
-                }
-            }
-            StationStats::add(&self.stats.frames_served, u64::from(sent));
-            StationStats::add(&self.stats.frames_dropped, u64::from(dropped));
-            self.out.send_control(Message::StreamEnd {
-                chip: id,
-                frames_sent: sent,
-                frames_dropped: dropped,
-            })?;
+            let total = u32::try_from(readings.len()).unwrap_or(u32::MAX);
+            let mut stream = match Emitter::new(&self.out, id, (0, 0), total, 0) {
+                Ok(stream) => stream,
+                Err(reply) => return Ok(reply),
+            };
+            let outcome = readings.iter().try_for_each(|reading| {
+                stream.push(std::slice::from_ref(reading));
+                stream.offer_full()
+            });
+            let end = stream.finish(outcome.map_err(Abort::from))?;
+            self.out.send_control(end)?;
         }
-        self.out.send_control(Message::AssayResult {
+        Ok(Message::AssayResult {
             chip: id,
             counts: readout.counts.clone(),
             estimated_currents_a: readout
@@ -824,41 +644,24 @@ impl Session {
         chunk_frames: u32,
         t0_s: f64,
         culture_spec: &bsa_link::CultureSpec,
-    ) -> Result<(), Gone> {
+    ) -> Result<Message, Gone> {
         if frames == 0 || frames > MAX_STREAM_FRAMES {
-            return self.out.send_control(error_reply(
+            return Ok(error_reply(
                 ErrorCode::BadRequest,
                 format!("frames must be 1..={MAX_STREAM_FRAMES}"),
             ));
         }
         let t0 = if t0_s.is_finite() { t0_s } else { 0.0 };
-        let chunk = if chunk_frames == 0 {
-            DEFAULT_CHUNK_FRAMES as usize
-        } else {
-            chunk_frames as usize
-        };
-        let chip = match self.registry.get_mut(id) {
-            Some(Chip::Neuro(chip)) => chip,
-            Some(Chip::Dna { .. }) => {
-                return self.out.send_control(error_reply(
-                    ErrorCode::WrongChipKind,
-                    "streams run on neuro chips".into(),
-                ))
-            }
-            None => {
-                return self
-                    .out
-                    .send_control(error_reply(ErrorCode::UnknownChip, format!("no chip {id}")))
-            }
+        let chip = match self.registry.neuro(id) {
+            Ok(chip) => chip,
+            Err(reply) => return Ok(reply),
         };
         let g = chip.config().geometry;
-        let (rows, cols) = (g.rows() as u16, g.cols() as u16);
-        let max_chunk = chunk.min(frames as usize);
-        if let Err(message) = check_chunk_len(ChipKind::Neuro, max_chunk, g.rows(), g.cols()) {
-            return self
-                .out
-                .send_control(error_reply(ErrorCode::BadRequest, message));
-        }
+        let shape = (g.rows() as u16, g.cols() as u16);
+        let mut stream = match Emitter::new(&self.out, id, shape, frames, chunk_frames) {
+            Ok(stream) => stream,
+            Err(reply) => return Ok(reply),
+        };
         let mask = self.masks.get(&id).filter(|m| !m.is_empty()).map(|m| {
             let mut usable = vec![true; g.len()];
             for &p in m {
@@ -876,7 +679,6 @@ impl Session {
             .recorders
             .get_mut(&id)
             .map(ActiveRecording::claim_epoch);
-        let mut stream = NeuroChunks::new(id, (rows, cols), frames, chunk);
         let mut outcome = Ok(());
         // One record call for the whole stream, since the chip re-seeds its
         // RNG streams at the start of every record. Its scan chunks come
@@ -902,111 +704,253 @@ impl Session {
                         // reported at `StopRecording`.
                         let _ = active.recorder.offer(epoch, encode_neuro_frame(samples));
                     }
-                    if stream.is_full() {
-                        if let Err(gone) = stream.flush(&self.out) {
-                            outcome = Err(gone);
-                            return ControlFlow::Break(());
-                        }
+                    if let Err(gone) = stream.offer_full() {
+                        outcome = Err(gone);
+                        return ControlFlow::Break(());
                     }
                 }
                 ControlFlow::Continue(())
             },
         );
-        if outcome.is_ok() {
-            outcome = stream.flush(&self.out);
-        }
         // Return the buffers to the chip's arena whatever happened.
         chip.recycle(recording);
-        StationStats::add(&self.stats.frames_served, u64::from(stream.sent));
-        StationStats::add(&self.stats.frames_dropped, u64::from(stream.dropped));
-        outcome?;
-        self.out.send_control(Message::StreamEnd {
-            chip: id,
-            frames_sent: stream.sent,
-            frames_dropped: stream.dropped,
-        })
+        stream.finish(outcome.map_err(Abort::from))
     }
 }
 
-/// Packs the frames of one neuro stream request into `StreamData` chunks
-/// of `chunk` frames (the last one shorter), numbering them and counting
-/// each chunk's frames as sent or dropped when it is offered.
-struct NeuroChunks {
+/// Replays every record of an open segment, each decoded by `decode`
+/// straight into the pending chunk. A corrupted record aborts the replay
+/// with a typed `StoreError` reply; the client's stream loop surfaces it
+/// as a server error.
+fn replay_records<T: ChunkItem>(
+    out: &Outbound,
+    reader: &mut SegmentReader,
+    chunk_frames: u32,
+    mut decode: impl FnMut(&[u8], &mut Vec<T>) -> Result<(), StoreError>,
+) -> Result<Message, Gone> {
+    let meta = reader.meta();
+    let total = u32::try_from(reader.frames()).unwrap_or(u32::MAX);
+    let shape = (meta.rows, meta.cols);
+    let mut stream = match Emitter::new(out, meta.chip, shape, total, chunk_frames) {
+        Ok(stream) => stream,
+        Err(reply) => return Ok(reply),
+    };
+    let outcome = (0..reader.frames()).try_for_each(|i| -> Result<(), Abort> {
+        let frame = reader.frame(i).map_err(store_error)?;
+        stream
+            .push_with(|buf| decode(frame.payload, buf))
+            .map_err(store_error)?;
+        Ok(stream.offer_full()?)
+    });
+    stream.finish(outcome)
+}
+
+/// Why a stream ended before its `StreamEnd`.
+enum Abort {
+    /// A typed error reply takes the place of the `StreamEnd`.
+    Reply(Message),
+    /// The client is gone.
+    Gone,
+}
+
+impl From<Gone> for Abort {
+    fn from(_: Gone) -> Self {
+        Self::Gone
+    }
+}
+
+impl From<Message> for Abort {
+    fn from(reply: Message) -> Self {
+        Self::Reply(reply)
+    }
+}
+
+/// What a stream chunk carries: neuro frame samples or DNA readings.
+trait ChunkItem: Copy {
+    const KIND: ChipKind;
+    /// Frames per chunk when the client passes 0.
+    const DEFAULT_CHUNK: u32;
+    fn payload(first_frame: u32, rows: u16, cols: u16, items: Vec<Self>) -> StreamPayload;
+}
+
+impl ChunkItem for f64 {
+    const KIND: ChipKind = ChipKind::Neuro;
+    const DEFAULT_CHUNK: u32 = DEFAULT_CHUNK_FRAMES;
+    fn payload(first_frame: u32, rows: u16, cols: u16, samples: Vec<Self>) -> StreamPayload {
+        StreamPayload::NeuroFrames {
+            first_frame,
+            rows,
+            cols,
+            samples,
+        }
+    }
+}
+
+impl ChunkItem for PixelCount {
+    const KIND: ChipKind = ChipKind::Dna;
+    const DEFAULT_CHUNK: u32 = DNA_CHUNK_READINGS;
+    fn payload(_: u32, _: u16, _: u16, readings: Vec<Self>) -> StreamPayload {
+        StreamPayload::DnaCounts { readings }
+    }
+}
+
+/// The one stream emitter behind live neuro streams, replays and assay
+/// count streams. It packs a stream's frames (neuro frames, or single
+/// DNA readings) into `StreamData` chunks of `chunk` frames, the last one
+/// shorter, numbers them, offers each to the outbound queue and counts
+/// its frames as sent or dropped. [`Emitter::finish`] ends every stream.
+struct Emitter<'a, T> {
+    out: &'a Outbound,
     id: ChipId,
     rows: u16,
     cols: u16,
-    frames: u32,
+    /// Items per frame: `rows * cols` samples, or one reading.
+    frame_len: usize,
+    /// Frames in the whole stream, which sizes the last chunk.
+    total: u32,
     chunk: u32,
-    /// Samples of the pending chunk, one row-major frame after another.
-    samples: Vec<f64>,
+    /// Items of the pending chunk, one frame after another.
+    items: Vec<T>,
     pending: u32,
     seq: u32,
     sent: u32,
     dropped: u32,
 }
 
-impl NeuroChunks {
-    fn new(id: ChipId, (rows, cols): (u16, u16), frames: u32, chunk: usize) -> Self {
-        Self {
+impl<'a, T: ChunkItem> Emitter<'a, T> {
+    /// Starts a stream of `total` frames of `rows × cols` (ignored for DNA
+    /// readings) in chunks of `chunk_frames`, 0 selecting the default. A
+    /// chunk that cannot fit one wire frame is refused up front with a
+    /// typed `BadRequest`, instead of tripping the frame encoder on the
+    /// writer thread.
+    fn new(
+        out: &'a Outbound,
+        id: ChipId,
+        (rows, cols): (u16, u16),
+        total: u32,
+        chunk_frames: u32,
+    ) -> Result<Self, Message> {
+        let chunk = if chunk_frames == 0 {
+            T::DEFAULT_CHUNK
+        } else {
+            chunk_frames
+        };
+        let frame_len = match T::KIND {
+            ChipKind::Neuro => usize::from(rows).saturating_mul(usize::from(cols)),
+            ChipKind::Dna => 1,
+        };
+        let largest = chunk.min(total);
+        let len = StreamPayload::message_len(T::KIND, (largest as usize).saturating_mul(frame_len));
+        if len > MAX_PAYLOAD {
+            return Err(error_reply(
+                ErrorCode::BadRequest,
+                format!(
+                    "a {largest}-frame chunk is {len} bytes, over the {MAX_PAYLOAD}-byte payload \
+                     limit; request smaller chunks"
+                ),
+            ));
+        }
+        Ok(Self {
+            out,
             id,
             rows,
             cols,
-            frames,
-            chunk: u32::try_from(chunk).unwrap_or(u32::MAX),
-            samples: Vec::new(),
+            frame_len,
+            total,
+            chunk,
+            items: Vec::new(),
             pending: 0,
             seq: 0,
             sent: 0,
             dropped: 0,
+        })
+    }
+
+    fn offered(&self) -> u32 {
+        self.sent.saturating_add(self.dropped)
+    }
+
+    /// The pending chunk's buffer, reserved for the whole chunk when it
+    /// is empty.
+    fn buf(&mut self) -> &mut Vec<T> {
+        if self.pending == 0 {
+            let chunk = self.chunk.min(self.total.saturating_sub(self.offered()));
+            self.items
+                .reserve_exact((chunk as usize).saturating_mul(self.frame_len));
         }
+        &mut self.items
     }
 
     /// Appends one frame and returns its copy in the pending chunk.
-    fn push(&mut self, frame: &[f64]) -> &mut [f64] {
-        if self.pending == 0 {
-            // Size the chunk buffer exactly, short last chunk included.
-            let offered = self.sent + self.dropped;
-            let chunk = self.chunk.min(self.frames.saturating_sub(offered));
-            self.samples.reserve_exact(chunk as usize * frame.len());
-        }
-        let start = self.samples.len();
-        self.samples.extend_from_slice(frame);
+    fn push(&mut self, frame: &[T]) -> &mut [T] {
+        let start = self.items.len();
+        self.buf().extend_from_slice(frame);
         self.pending += 1;
-        self.samples.get_mut(start..).unwrap_or_default()
+        self.items.get_mut(start..).unwrap_or_default()
     }
 
-    fn is_full(&self) -> bool {
-        self.pending >= self.chunk
+    /// Appends one frame that `fill` decodes straight into the pending
+    /// chunk.
+    fn push_with<E>(&mut self, fill: impl FnOnce(&mut Vec<T>) -> Result<(), E>) -> Result<(), E> {
+        fill(self.buf())?;
+        self.pending += 1;
+        Ok(())
+    }
+
+    /// Offers the pending chunk once it holds `chunk` frames.
+    fn offer_full(&mut self) -> Result<(), Gone> {
+        if self.pending < self.chunk {
+            return Ok(());
+        }
+        self.offer()
     }
 
     /// Offers the pending frames, if any, as the next chunk.
-    fn flush(&mut self, out: &Outbound) -> Result<(), Gone> {
+    fn offer(&mut self) -> Result<(), Gone> {
         let n = std::mem::take(&mut self.pending);
         if n == 0 {
             return Ok(());
         }
-        let samples = std::mem::take(&mut self.samples);
+        let items = std::mem::take(&mut self.items);
         let msg = Message::StreamData {
             chip: self.id,
             seq: self.seq,
-            payload: StreamPayload::NeuroFrames {
-                first_frame: self.sent + self.dropped,
-                rows: self.rows,
-                cols: self.cols,
-                samples,
-            },
+            payload: T::payload(self.offered(), self.rows, self.cols, items),
         };
-        self.seq += 1;
-        match out.offer_stream(msg)? {
-            Offer::Sent => self.sent += n,
-            Offer::Dropped => self.dropped += n,
+        self.seq = self.seq.wrapping_add(1);
+        match self.out.offer_stream(msg)? {
+            Offer::Sent => self.sent = self.sent.saturating_add(n),
+            Offer::Dropped => self.dropped = self.dropped.saturating_add(n),
         }
         Ok(())
     }
+
+    /// Ends the stream. One that ran to completion offers its last chunk
+    /// and answers `StreamEnd`; an aborted one answers its error reply,
+    /// or `Gone`. Whatever the exit, the frames offered so far are added
+    /// to the station counters here, exactly once.
+    fn finish(mut self, outcome: Result<(), Abort>) -> Result<Message, Gone> {
+        let outcome = outcome.and_then(|()| self.offer().map_err(Abort::from));
+        StationStats::add(&self.out.stats.frames_served, u64::from(self.sent));
+        StationStats::add(&self.out.stats.frames_dropped, u64::from(self.dropped));
+        match outcome {
+            Ok(()) => Ok(Message::StreamEnd {
+                chip: self.id,
+                frames_sent: self.sent,
+                frames_dropped: self.dropped,
+            }),
+            Err(Abort::Reply(reply)) => Ok(reply),
+            Err(Abort::Gone) => Err(Gone),
+        }
+    }
 }
 
-fn error_reply(code: ErrorCode, message: String) -> Message {
+pub(crate) fn error_reply(code: ErrorCode, message: String) -> Message {
     Message::ErrorReply { code, message }
+}
+
+fn store_error(err: impl ToString) -> Message {
+    error_reply(ErrorCode::StoreError, err.to_string())
 }
 
 #[cfg(test)]

@@ -691,6 +691,62 @@ fn oversized_replay_chunk_is_refused_typed() {
     let _ = std::fs::remove_dir_all(&store_root);
 }
 
+/// A replay aborted by a corrupt record answers a typed `StoreError`,
+/// keeps the session serving, and still counts the frames it delivered
+/// before the bad record in the station's `frames_served` /
+/// `frames_dropped`.
+#[test]
+fn aborted_replay_counts_its_delivered_frames() {
+    use bsa_store::{encode_neuro_frame, segment_path};
+
+    let store_root = std::env::temp_dir().join(format!("bsa-station-abort-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_root);
+    let station = Station::bind(StationConfig {
+        store_root: Some(store_root.clone()),
+        ..StationConfig::default()
+    })
+    .unwrap();
+    let mut client = StationClient::connect(station.addr(), "abort").unwrap();
+
+    let attached = client.attach_neuro(&neuro_spec(16, 16)).unwrap();
+    client.start_recording(attached.chip, "abort-take").unwrap();
+    let stream = client
+        .stream_neuro(attached.chip, 48, 8, Seconds::new(0.0), &culture_spec(48))
+        .unwrap();
+    assert_eq!(stream.frames.len(), 48);
+    assert_eq!(
+        client.stop_recording(attached.chip).unwrap().frames_written,
+        48
+    );
+
+    // Flip one payload byte of record 20, found by its encoded samples.
+    let path = segment_path(&store_root, "abort-take").unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let payload = encode_neuro_frame(&stream.frames[20]);
+    let at = bytes
+        .windows(payload.len())
+        .position(|w| w == payload.as_slice())
+        .expect("record 20 payload in the segment");
+    bytes[at] ^= 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let served = |client: &mut StationClient| {
+        let stats = client.stats().unwrap();
+        stats.frames_served + stats.frames_dropped
+    };
+    let before = served(&mut client);
+    match client.replay("abort-take", 8).unwrap_err() {
+        ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::StoreError),
+        other => panic!("expected a typed StoreError, got {other:?}"),
+    }
+    client.ping(11).unwrap();
+    // Chunks 0..8 and 8..16 went out before record 20 failed.
+    assert_eq!(served(&mut client) - before, 16);
+
+    drop(station);
+    let _ = std::fs::remove_dir_all(&store_root);
+}
+
 /// Pixel masking round-trips: masked pixels are repaired by neighbor
 /// interpolation bit-identically to an in-process `PixelMask` repair of
 /// the same recording, and bad indices get a typed error.
