@@ -488,27 +488,27 @@ impl NeuroChip {
         frames: usize,
         opts: ScanOptions,
     ) -> Recording {
-        self.scan_recording(culture, t0, frames, opts, true, &mut |_| {
-            ControlFlow::Continue(())
-        })
+        self.collect_recording(culture, t0, frames, opts, true)
     }
 
-    /// [`record`](Self::record) that hands each scan chunk's frames to
+    /// [`record`](Self::record) that lends each scan chunk's frames to
     /// `sink` as soon as they are gathered, so a consumer can transmit
-    /// chunk *k* while chunk *k + 1* is scanned. The frames, and the
-    /// returned recording, are bit-identical to `record` of the same
-    /// arguments: it is the same scan loop. Chunks hold at most 32 frames
-    /// and end early at recalibration points. `sink` returning
-    /// [`ControlFlow::Break`] stops the scan; the recording then holds
-    /// the frames handed out so far.
+    /// chunk *k* while chunk *k + 1* is scanned. The frames are
+    /// bit-identical to `record` of the same arguments: it is the same
+    /// scan loop. Chunks hold at most 32 frames and end early at
+    /// recalibration points. Once `sink` returns, the chunk's buffers go
+    /// back to the frame arena, so a stream of any length holds one
+    /// chunk of frames at a time. `sink` returning
+    /// [`ControlFlow::Break`] stops the scan.
     pub fn record_streamed(
         &mut self,
         culture: &Culture,
         t0: Seconds,
         frames: usize,
         sink: &mut dyn FnMut(&[Frame]) -> ControlFlow<()>,
-    ) -> Recording {
-        self.scan_recording(culture, t0, frames, ScanOptions::default(), true, sink)
+    ) {
+        let opts = ScanOptions::default();
+        self.scan_recording(culture, t0, frames, opts, true, &mut |chunk| sink(chunk));
     }
 
     /// Records without ever calibrating — the baseline the paper's
@@ -537,18 +537,39 @@ impl NeuroChip {
         }
         self.calibrated = false;
         self.linear.invalidate();
-        self.scan_recording(culture, t0, frames, opts, false, &mut |_| {
-            ControlFlow::Continue(())
-        })
+        self.collect_recording(culture, t0, frames, opts, false)
     }
 
-    /// The shared scan core behind [`record`](Self::record),
-    /// [`record_streamed`](Self::record_streamed) and
-    /// [`record_uncalibrated`](Self::record_uncalibrated): chunks the
-    /// frame sequence at recalibration points, fans each chunk's channels
-    /// out over the scan workers into a channel-major stripe buffer,
-    /// gathers the stripes into row-major frames drawn from the arena,
-    /// and hands each gathered chunk to `sink`.
+    /// A [`Recording`] that takes ownership of every frame the scan
+    /// lends out.
+    fn collect_recording(
+        &mut self,
+        culture: &Culture,
+        t0: Seconds,
+        frames: usize,
+        opts: ScanOptions,
+        recalibrate: bool,
+    ) -> Recording {
+        let nominal_voltage_gain = self.nominal_voltage_gain();
+        let mut out = Vec::with_capacity(frames);
+        self.scan_recording(culture, t0, frames, opts, recalibrate, &mut |chunk| {
+            out.append(chunk);
+            ControlFlow::Continue(())
+        });
+        Recording {
+            geometry: self.config.geometry,
+            timing: self.timing,
+            frames: out,
+            nominal_voltage_gain,
+        }
+    }
+
+    /// The one scan loop behind every record call: chunks the frame
+    /// sequence at recalibration points, fans each chunk's channels out
+    /// over the scan workers into a channel-major stripe buffer, gathers
+    /// the stripes into row-major frames drawn from the arena, and lends
+    /// the chunk to `sink`. Frames the sink leaves in the chunk go back
+    /// to the arena before the next chunk is scanned.
     fn scan_recording(
         &mut self,
         culture: &Culture,
@@ -556,11 +577,10 @@ impl NeuroChip {
         frames: usize,
         opts: ScanOptions,
         recalibrate: bool,
-        sink: &mut dyn FnMut(&[Frame]) -> ControlFlow<()>,
-    ) -> Recording {
+        sink: &mut dyn FnMut(&mut Vec<Frame>) -> ControlFlow<()>,
+    ) {
         let geometry = self.config.geometry;
         let timing = self.timing;
-        let nominal_gain = self.nominal_voltage_gain();
         let threads = resolve_threads(self.config.channels, opts);
         let frame_period = timing.frame_period.value();
         let interval = self.config.recalibration_interval.value();
@@ -582,7 +602,7 @@ impl NeuroChip {
             self.linear.compile_culture(&self.plan, culture);
         }
 
-        let mut out = Vec::with_capacity(frames);
+        let mut out = Vec::with_capacity(MAX_CHUNK_FRAMES);
         let mut last_cal = Seconds::new(f64::NEG_INFINITY);
         let mut frame_starts: Vec<f64> = Vec::with_capacity(MAX_CHUNK_FRAMES);
 
@@ -671,16 +691,13 @@ impl NeuroChip {
             }
             self.arena.stripe = stripe;
             f0 += chunk;
-            if sink(out.get(out.len() - chunk..).unwrap_or(&[])).is_break() {
+            let flow = sink(&mut out);
+            for frame in out.drain(..) {
+                self.arena.release(frame.samples);
+            }
+            if flow.is_break() {
                 break;
             }
-        }
-
-        Recording {
-            geometry,
-            timing,
-            frames: out,
-            nominal_voltage_gain: nominal_gain,
         }
     }
 

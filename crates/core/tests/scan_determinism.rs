@@ -156,3 +156,35 @@ proptest! {
         }
     }
 }
+
+/// A streamed record lends each scan chunk to its sink and takes the
+/// buffers back before scanning the next, so 128 frames of the paper's
+/// 128×128 array draw at most one 32-frame chunk of fresh buffers, and
+/// the frames are bit-identical to an owned record of the same request.
+#[test]
+fn streamed_record_holds_one_scan_chunk_of_frames() {
+    let culture = test_culture();
+    let mut chip = NeuroChip::new(NeuroChipConfig::default()).unwrap();
+    let mut streamed = Vec::new();
+    chip.record_streamed(&culture, Seconds::ZERO, 128, &mut |chunk| {
+        streamed.extend(chunk.iter().map(|f| f.samples().to_vec()));
+        std::ops::ControlFlow::Continue(())
+    });
+    let allocations = chip.arena_stats().allocations;
+    assert!(
+        allocations <= 32,
+        "a 128-frame stream allocated {allocations} frame buffers"
+    );
+
+    let owned =
+        NeuroChip::new(NeuroChipConfig::default())
+            .unwrap()
+            .record(&culture, Seconds::ZERO, 128);
+    assert_eq!(streamed.len(), owned.len());
+    for (s, o) in streamed.iter().zip(owned.frames()) {
+        assert!(s
+            .iter()
+            .zip(o.samples())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+}

@@ -1,6 +1,13 @@
 //! CRC-8 with polynomial 0x07, the single checksum shared by the chip
-//! serial link (`bsa-core::dna_chip::interface`, 56-bit words) and the
-//! host wire protocol (frame trailer).
+//! serial link (`bsa-core::dna_chip::interface`, 56-bit words), the host
+//! wire protocol (frame trailer) and the `bsa-store` segment format
+//! (header, record and footer trailers).
+//!
+//! Wire frames and segment regions are sealed the same way: [`seal`]
+//! appends the CRC-8 of every preceding byte and [`unseal`] checks it, so
+//! the trailer of every protocol and storage structure is one mechanism.
+//! The module also holds [`fnv1a64`], the content hash of chip-config
+//! snapshots and wire-ABI fingerprints.
 //!
 //! Parameters: polynomial x⁸+x²+x+1 (0x07), initial value 0x00, MSB-first,
 //! no reflection, no final XOR — the same generator the paper's serial
@@ -16,6 +23,8 @@
 //! CRC-8 detects every single-byte corruption (any burst up to 8 bits),
 //! which is the property the corruption tests in `crates/link/tests/`
 //! exercise exhaustively.
+
+use crate::error::ProtocolError;
 
 /// Generator polynomial x⁸ + x² + x + 1.
 pub const CRC8_POLY: u8 = 0x07;
@@ -133,6 +142,40 @@ pub fn crc8(bytes: &[u8]) -> u8 {
     crc.finish()
 }
 
+/// Appends the CRC-8 of everything in `buf` as its trailer byte.
+pub fn seal(buf: &mut Vec<u8>) {
+    let crc = crc8(buf);
+    buf.push(crc);
+}
+
+/// Checks the trailer of a region written by [`seal`] and returns the
+/// bytes it guards.
+pub fn unseal(sealed: &[u8]) -> Result<&[u8], ProtocolError> {
+    let Some((&got, body)) = sealed.split_last() else {
+        return Err(ProtocolError::Truncated {
+            needed: 1,
+            available: 0,
+        });
+    };
+    let expected = crc8(body);
+    if expected != got {
+        return Err(ProtocolError::BadCrc { expected, got });
+    }
+    Ok(body)
+}
+
+/// FNV-1a-64 over `bytes`: the hash of chip-config snapshots in segment
+/// headers and of canonical encodings in the wire-ABI lock.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,5 +278,25 @@ mod tests {
                 assert_ne!(crc8(&corrupt), clean, "flip at {i} mask {mask:#x}");
             }
         }
+    }
+
+    #[test]
+    fn sealed_regions_roundtrip_and_reject_flips() {
+        let mut sealed = b"segment".to_vec();
+        seal(&mut sealed);
+        assert_eq!(unseal(&sealed).unwrap(), b"segment");
+        if let Some(byte) = sealed.first_mut() {
+            *byte ^= 0x10;
+        }
+        assert!(matches!(unseal(&sealed), Err(ProtocolError::BadCrc { .. })));
+        assert!(matches!(unseal(&[]), Err(ProtocolError::Truncated { .. })));
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published FNV-1a-64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

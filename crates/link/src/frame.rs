@@ -15,10 +15,11 @@
 //!
 //! Encoding is single-pass: header, payload and trailer are written into
 //! one buffer sized up front. The length field is reserved, patched once
-//! the payload is written, and the table-driven CRC-8 (same parameters
-//! as the bitwise definition, see [`crate::crc`]) is appended.
+//! the payload is written, and the frame is sealed with its CRC-8
+//! trailer by [`crate::crc::seal`], the same call that seals `bsa-store`
+//! segment regions.
 
-use crate::crc::{crc8, Crc8};
+use crate::crc::{seal, unseal};
 use crate::error::ProtocolError;
 use crate::message::Message;
 use std::io::{Read, Write};
@@ -41,8 +42,8 @@ pub const FRAME_OVERHEAD: usize = HEADER_LEN + 1;
 pub const MAX_PAYLOAD: usize = 1 << 24;
 
 /// Hard cap on any frame-sized buffer allocation: the largest whole
-/// frame body (maximal payload plus CRC trailer), checked explicitly
-/// before `read_message` allocates. Guarantees `len + 1` cannot
+/// frame (header, maximal payload and CRC trailer), checked explicitly
+/// before `read_message` allocates. Guarantees the frame size cannot
 /// overflow for any length that passes the bound checks.
 pub const MAX_FRAME_LEN: usize = MAX_PAYLOAD + FRAME_OVERHEAD;
 
@@ -62,7 +63,7 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
     if let Some(field) = out.get_mut(3..HEADER_LEN) {
         field.copy_from_slice(&(len as u32).to_le_bytes());
     }
-    out.push(crc8(&out));
+    seal(&mut out);
     out
 }
 
@@ -86,20 +87,13 @@ pub fn decode_frame_prefix(buf: &[u8]) -> Result<(Message, usize), ProtocolError
             needed: HEADER_LEN,
             available: buf.len(),
         })?;
-    let len = payload_len(header)?;
-    let total = HEADER_LEN + len + 1;
+    let total = HEADER_LEN + payload_len(header)? + 1;
     let frame = buf.get(..total).ok_or(ProtocolError::Truncated {
         needed: total,
         available: buf.len(),
     })?;
-    let (body, crc_byte) = frame.split_at(total - 1);
-    let got = crc_byte.first().copied().unwrap_or(0);
-    let expected = crc8(body);
-    if expected != got {
-        return Err(ProtocolError::BadCrc { expected, got });
-    }
-    let payload = body.get(HEADER_LEN..).unwrap_or(&[]);
-    let msg = Message::decode_payload(payload)?;
+    let body = unseal(frame)?;
+    let msg = Message::decode_payload(body.get(HEADER_LEN..).unwrap_or(&[]))?;
     Ok((msg, total))
 }
 
@@ -136,30 +130,24 @@ pub fn read_message<R: Read>(reader: &mut R) -> Result<Message, ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     reader.read_exact(&mut header)?;
     let len = payload_len(&header)?;
-    // `len ≤ MAX_PAYLOAD`, so `len + 1` (payload + CRC trailer) cannot
-    // overflow; the explicit cap keeps the allocation provably below
-    // MAX_FRAME_LEN even if the bounds above ever drift.
-    let body_len = len + 1;
-    if body_len > MAX_FRAME_LEN {
+    // `len ≤ MAX_PAYLOAD`, so the whole frame (header, payload, CRC
+    // trailer) cannot overflow; the explicit cap keeps the allocation
+    // provably at most MAX_FRAME_LEN even if the bounds above ever drift.
+    let total = HEADER_LEN + len + 1;
+    if total > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge { len });
     }
-    let mut rest_buf = vec![0u8; body_len];
-    reader.read_exact(&mut rest_buf)?;
-    let (payload, crc_byte) = rest_buf.split_at(len);
-    let got = crc_byte.first().copied().unwrap_or(0);
-    let mut crc = Crc8::new();
-    crc.update_bytes(&header);
-    crc.update_bytes(payload);
-    let expected = crc.finish();
-    if expected != got {
-        return Err(ProtocolError::BadCrc { expected, got });
-    }
-    Message::decode_payload(payload)
+    let mut frame = Vec::with_capacity(total);
+    frame.extend_from_slice(&header);
+    frame.resize(total, 0);
+    reader.read_exact(frame.get_mut(HEADER_LEN..).unwrap_or_default())?;
+    decode_frame(&frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc8;
     use std::io::Cursor;
 
     #[test]
@@ -237,11 +225,10 @@ mod tests {
     #[test]
     fn maximal_declared_length_is_read_not_rejected() {
         // A frame declaring exactly MAX_PAYLOAD must pass the length
-        // bounds: the reader sizes its buffer at MAX_PAYLOAD + 1 (the
-        // largest value `body_len` can take, still under MAX_FRAME_LEN)
-        // and reads the full body. The all-zero payload then fails at
-        // the decode stage — typed, never FrameTooLarge and never a
-        // short read.
+        // bounds: the reader sizes its buffer at exactly MAX_FRAME_LEN
+        // (the largest frame it accepts) and reads the full body. The
+        // all-zero payload then fails at the decode stage — typed, never
+        // FrameTooLarge and never a short read.
         let mut frame = Vec::with_capacity(MAX_FRAME_LEN);
         frame.extend_from_slice(&MAGIC);
         frame.push(PROTOCOL_VERSION);

@@ -22,7 +22,11 @@
 //! * **One CRC.** The CRC-8 (polynomial 0x07) that guards the chip's
 //!   56-bit serial words lives here in [`crc`] and is reused by
 //!   `bsa-core`, so both layers of the stack share a single
-//!   implementation.
+//!   implementation. Frames and `bsa-store` segment regions carry it as
+//!   a trailer through one [`crc::seal`]/[`crc::unseal`] pair.
+//! * **One byte codec.** [`Reader`] and [`Writer`] are the little-endian
+//!   primitives of the message grammar and of the `bsa-store` segment
+//!   format, so a stored frame and a streamed one share their layout.
 //!
 //! # Frame format
 //!
@@ -45,6 +49,7 @@ mod frame;
 pub mod message;
 mod wire;
 
+pub use crc::fnv1a64;
 pub use error::ProtocolError;
 pub use frame::{
     decode_frame, decode_frame_prefix, encode_frame, read_message, write_message, FRAME_OVERHEAD,
@@ -55,3 +60,4 @@ pub use message::{
     FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, PixelCount,
     RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec, YieldSummary,
 };
+pub use wire::{Reader, Writer};

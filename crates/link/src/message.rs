@@ -581,15 +581,18 @@ const TAG_RECORDING_LIST: u8 = 0x20;
 const TAG_REPLAY: u8 = 0x21;
 
 impl ChipKind {
-    fn encode(self, w: &mut Writer) {
-        w.u8(match self {
+    /// The kind's tag byte, on the wire and in segment headers.
+    #[must_use]
+    pub fn tag(self) -> u8 {
+        match self {
             Self::Dna => 0,
             Self::Neuro => 1,
-        });
+        }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
-        match r.u8()? {
+    /// The kind a tag byte names.
+    pub fn from_tag(tag: u8) -> Result<Self, ProtocolError> {
+        match tag {
             0 => Ok(Self::Dna),
             1 => Ok(Self::Neuro),
             tag => Err(ProtocolError::UnknownTag {
@@ -597,6 +600,14 @@ impl ChipKind {
                 tag,
             }),
         }
+    }
+
+    fn encode(self, w: &mut Writer) {
+        w.u8(self.tag());
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+        Self::from_tag(r.u8()?)
     }
 }
 
@@ -669,13 +680,20 @@ impl TargetSpec {
 }
 
 impl PixelCount {
-    fn encode(&self, w: &mut Writer) {
+    /// Bytes one encoded reading occupies (`row`, `col`, `count`).
+    pub const ENCODED_LEN: usize = 2 + 2 + 8;
+
+    /// Appends the reading's [`Self::ENCODED_LEN`] bytes: the layout of
+    /// a reading in a `DnaCounts` chunk and of a stored DNA record
+    /// payload.
+    pub fn encode(&self, w: &mut Writer) {
         w.u16(self.row);
         w.u16(self.col);
         w.u64(self.count);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+    /// Reads one reading written by [`Self::encode`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
         Ok(Self {
             row: r.u16()?,
             col: r.u16()?,
@@ -693,7 +711,9 @@ impl StreamPayload {
     pub fn message_len(kind: ChipKind, items: usize) -> usize {
         match kind {
             ChipKind::Neuro => items.saturating_mul(8).saturating_add(22),
-            ChipKind::Dna => items.saturating_mul(12).saturating_add(14),
+            ChipKind::Dna => items
+                .saturating_mul(PixelCount::ENCODED_LEN)
+                .saturating_add(14),
         }
     }
 
@@ -737,7 +757,7 @@ impl StreamPayload {
                 })
             }
             1 => {
-                let n = r.count(12, "DnaCounts.readings")?;
+                let n = r.count(PixelCount::ENCODED_LEN, "DnaCounts.readings")?;
                 let mut readings = Vec::with_capacity(n);
                 for _ in 0..n {
                     readings.push(PixelCount::decode(r)?);

@@ -1,21 +1,29 @@
-//! Panic-free little-endian cursor primitives used by the message codec.
+//! Panic-free little-endian cursor primitives: the one byte codec behind
+//! the message grammar and the `bsa-store` segment format.
 //!
 //! `Reader` never indexes past the buffer: every access goes through
-//! `take`, which returns [`ProtocolError::Truncated`] instead of slicing
-//! out of bounds. `Writer` appends to a caller's `Vec<u8>` (taken and
-//! handed back), so a frame header, the payload and the CRC trailer
-//! share one buffer. Sample vectors move as bulk little-endian runs
-//! ([`Writer::f64s`], [`Reader::f64s`]) rather than one call per value.
+//! [`Reader::bytes`], which returns [`ProtocolError::Truncated`] instead
+//! of slicing out of bounds. `Writer` appends to a caller's `Vec<u8>`
+//! (taken and handed back), so a frame header, the payload and the CRC
+//! trailer share one buffer. Sample vectors move as bulk little-endian
+//! runs ([`Writer::f64s`], [`Reader::f64s_into`]) rather than one call
+//! per value, so a stored neuro frame and the samples of a `StreamData`
+//! chunk are the same bytes.
 
 use crate::error::ProtocolError;
 
-pub(crate) struct Reader<'a> {
+/// Bounds-checked little-endian reader over a byte slice: every read is
+/// total, so malformed input surfaces as a typed [`ProtocolError`].
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// A reader positioned at the start of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -23,7 +31,8 @@ impl<'a> Reader<'a> {
         self.buf.len().saturating_sub(self.pos)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
+    /// The next `n` bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let truncated = ProtocolError::Truncated {
             needed: n,
             available: self.remaining(),
@@ -41,32 +50,36 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, ProtocolError> {
-        let bytes = self.take(1)?;
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, ProtocolError> {
+        let bytes = self.bytes(1)?;
         bytes.first().copied().ok_or(ProtocolError::Truncated {
             needed: 1,
             available: 0,
         })
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, ProtocolError> {
-        let bytes = self.take(2)?;
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, ProtocolError> {
+        let bytes = self.bytes(2)?;
         let arr: [u8; 2] = bytes
             .try_into()
             .map_err(|_| ProtocolError::InvalidValue { what: "u16" })?;
         Ok(u16::from_le_bytes(arr))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let bytes = self.take(4)?;
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ProtocolError> {
+        let bytes = self.bytes(4)?;
         let arr: [u8; 4] = bytes
             .try_into()
             .map_err(|_| ProtocolError::InvalidValue { what: "u32" })?;
         Ok(u32::from_le_bytes(arr))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let bytes = self.take(8)?;
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ProtocolError> {
+        let bytes = self.bytes(8)?;
         let arr: [u8; 8] = bytes
             .try_into()
             .map_err(|_| ProtocolError::InvalidValue { what: "u64" })?;
@@ -81,15 +94,22 @@ impl<'a> Reader<'a> {
     /// against the bytes left with [`Self::count`] first; an `n` that
     /// still overruns the buffer is [`ProtocolError::Truncated`].
     pub(crate) fn f64s(&mut self, n: usize) -> Result<Vec<f64>, ProtocolError> {
-        let bytes = self.take(n.saturating_mul(8))?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                let mut arr = [0u8; 8];
-                arr.copy_from_slice(c);
-                f64::from_le_bytes(arr)
-            })
-            .collect())
+        let mut out = Vec::new();
+        self.f64s_into(n, &mut out)?;
+        Ok(out)
+    }
+
+    /// Appends `n` little-endian `f64`s, bit-exact, to `out`. The bytes
+    /// are taken before `out` grows, so an `n` that overruns the buffer
+    /// is [`ProtocolError::Truncated`] and allocates nothing.
+    pub fn f64s_into(&mut self, n: usize, out: &mut Vec<f64>) -> Result<(), ProtocolError> {
+        let bytes = self.bytes(n.saturating_mul(8))?;
+        out.extend(bytes.chunks_exact(8).map(|c| {
+            let mut arr = [0u8; 8];
+            arr.copy_from_slice(c);
+            f64::from_le_bytes(arr)
+        }));
+        Ok(())
     }
 
     pub(crate) fn bool(&mut self) -> Result<bool, ProtocolError> {
@@ -101,9 +121,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Length-prefixed UTF-8 string (u32 length, then bytes).
-    pub(crate) fn string(&mut self) -> Result<String, ProtocolError> {
+    pub fn string(&mut self) -> Result<String, ProtocolError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
     }
 
@@ -125,7 +145,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Errors with [`ProtocolError::TrailingBytes`] if input remains.
-    pub(crate) fn finish(&self) -> Result<(), ProtocolError> {
+    pub fn finish(&self) -> Result<(), ProtocolError> {
         match self.remaining() {
             0 => Ok(()),
             count => Err(ProtocolError::TrailingBytes { count }),
@@ -133,33 +153,47 @@ impl<'a> Reader<'a> {
     }
 }
 
-pub(crate) struct Writer {
+/// Little-endian writer appending to an owned byte buffer.
+#[derive(Debug)]
+pub struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
     /// A writer appending to `buf` after whatever it already holds.
-    pub(crate) fn new(buf: Vec<u8>) -> Self {
+    #[must_use]
+    pub fn new(buf: Vec<u8>) -> Self {
         Self { buf }
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    /// Hands the buffer back.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// Raw bytes, as they are.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn u16(&mut self, v: u16) {
+    /// A little-endian `u16`.
+    pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -167,8 +201,9 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
-    /// The values as one little-endian run (no count prefix).
-    pub(crate) fn f64s(&mut self, values: &[f64]) {
+    /// The values as one little-endian run of raw IEEE-754 bits (no
+    /// count prefix).
+    pub fn f64s(&mut self, values: &[f64]) {
         let start = self.buf.len();
         self.buf.resize(start + values.len() * 8, 0);
         if let Some(run) = self.buf.get_mut(start..) {

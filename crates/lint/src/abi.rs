@@ -12,7 +12,7 @@
 //! Regenerate deliberately with `cargo run -p bsa-lint -- abi regen`.
 
 use bsa_link::{
-    ChipKind, CultureSpec, DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec,
+    fnv1a64, ChipKind, CultureSpec, DegradationSummary, DnaChipSpec, ErrorCode, FaultEntrySpec,
     FaultKindSpec, FaultPlanSpec, FaultTargetSpec, Message, NeuroChipSpec, PixelCount,
     RecordingEntry, SerialLinkSummary, StatsSnapshot, StreamPayload, TargetSpec, YieldSummary,
 };
@@ -54,17 +54,6 @@ pub struct AbiSummary {
     pub matched: usize,
     /// Whether a lock file was found at all.
     pub lock_present: bool,
-}
-
-/// FNV-1a 64-bit: dependency-free, stable, good enough to pin a byte
-/// layout (this is drift detection, not cryptography).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One canonical, deterministic instance per wire shape. Values are

@@ -2,8 +2,9 @@
 //! (DESIGN.md §16).
 //!
 //! Everything a peer or a stored segment can influence is *tainted*:
-//! values produced by the little-endian decode helpers (`Reader`/`Cursor`
-//! `u8`..`u64`, `from_le_bytes`), segment header metadata (`.meta()`),
+//! values produced by the little-endian decode helpers (`bsa-link`'s
+//! `Reader` `u8`..`u64`, which also decodes every segment byte in
+//! `bsa-store`, and `from_le_bytes`), segment header metadata (`.meta()`),
 //! buffers filled by `read_exact`, and fields destructured out of a
 //! decoded [`Message`] (or `StreamPayload`) pattern. A tainted value must
 //! not reach a *resource sink* — an allocation size (`with_capacity`,

@@ -50,8 +50,11 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Hard cap on frames per neuro stream request (about 100 MiB of payload
-/// at 128×128), so one request cannot pin the server indefinitely.
+/// Hard cap on frames per neuro stream request: 512 MiB of samples at
+/// 128×128, about 2 s of acquisition at 2 kframes/s, so one request
+/// cannot pin the server indefinitely. The scan holds one 32-frame chunk
+/// (4 MiB at 128×128) at a time, so the cap bounds the request's
+/// duration, not its memory.
 pub(crate) const MAX_STREAM_FRAMES: u32 = 4096;
 
 /// Default frames per `StreamData` chunk when the client passes 0.
@@ -684,8 +687,9 @@ impl Session {
         // RNG streams at the start of every record. Its scan chunks come
         // through the sink as soon as they are gathered; each client chunk
         // is offered once full, so the writer thread encodes it while the
-        // scan produces the next.
-        let recording = chip.record_streamed(
+        // scan produces the next. The scan takes its frame buffers back
+        // after each chunk.
+        chip.record_streamed(
             &culture,
             Seconds::new(t0),
             frames as usize,
@@ -712,8 +716,6 @@ impl Session {
                 ControlFlow::Continue(())
             },
         );
-        // Return the buffers to the chip's arena whatever happened.
-        chip.recycle(recording);
         stream.finish(outcome.map_err(Abort::from))
     }
 }

@@ -2,6 +2,7 @@
 //! truncated or misused maps to a [`StoreError`] variant — the reader and
 //! writer have no panicking paths.
 
+use bsa_link::ProtocolError;
 use std::fmt;
 use std::io;
 
@@ -132,5 +133,29 @@ impl std::error::Error for StoreError {
 impl From<io::Error> for StoreError {
     fn from(err: io::Error) -> Self {
         Self::Io(err)
+    }
+}
+
+/// Segment bytes are decoded with `bsa-link`'s codec; its failures map
+/// onto the store's own taxonomy.
+impl From<ProtocolError> for StoreError {
+    fn from(err: ProtocolError) -> Self {
+        match err {
+            ProtocolError::Truncated { needed, available } => Self::Truncated {
+                what: "segment field",
+                needed: needed as u64,
+                available: available as u64,
+            },
+            ProtocolError::BadCrc { .. } => Self::BadCrc { what: "segment" },
+            ProtocolError::UnknownTag { tag, .. } => Self::UnknownKind { tag },
+            ProtocolError::InvalidValue { what } => Self::InvalidValue { what },
+            ProtocolError::BadUtf8 => Self::BadUtf8,
+            ProtocolError::Io(err) => Self::Io(err),
+            // Trailing bytes, and the frame-header failures the store's
+            // reads never produce.
+            _ => Self::InvalidValue {
+                what: "segment structure length",
+            },
+        }
     }
 }

@@ -38,10 +38,17 @@
 //! catches every error burst of eight bits or fewer, and the fields used
 //! to locate CRC-guarded regions are cross-checked against the file size
 //! first.
+//!
+//! All of it is written and read with `bsa-link`'s byte codec
+//! ([`Writer`]/[`Reader`]) and sealed with its [`seal`]/[`crc::unseal`]
+//! pair, the calls that frame wire messages. A neuro record payload is
+//! the sample run of a `StreamData` chunk and a DNA record payload is
+//! one `DnaCounts` reading, byte for byte.
 
 use crate::error::StoreError;
-use bsa_link::crc::Crc8;
-use bsa_link::{ChipKind, PixelCount};
+use bsa_link::crc::{self, seal};
+pub use bsa_link::fnv1a64;
+use bsa_link::{ChipKind, PixelCount, ProtocolError, Reader, Writer};
 
 /// First bytes of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"BSSG";
@@ -59,28 +66,12 @@ pub const HEADER_FIXED_LEN: usize = 4 + 2 + 1 + 1 + 4 + 2 + 2 + 8 + 4;
 /// `epochs`, `footer_crc`, tail magic.
 pub const FOOTER_TAIL_LEN: usize = 8 + 8 + 4 + 1 + 4;
 
-/// Per-record metadata bytes preceding the payload.
-pub const RECORD_META_LEN: usize = 8 + 4 + 4;
-
-/// Record bytes that are not payload (metadata plus CRC trailer).
-pub const RECORD_OVERHEAD: usize = RECORD_META_LEN + 1;
+/// Record bytes that are not payload: frame index, epoch, payload
+/// length and the CRC trailer.
+pub const RECORD_OVERHEAD: usize = 8 + 4 + 4 + 1;
 
 /// Bytes one stored DNA reading occupies (`row`, `col`, `count`).
-pub const DNA_READING_LEN: usize = 2 + 2 + 8;
-
-/// Longest accepted spec snapshot, far above anything the station emits.
-pub const MAX_SPEC_LEN: usize = 1 << 20;
-
-/// FNV-1a-64 over `bytes` — the segment header's config-hash function.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub const DNA_READING_LEN: usize = PixelCount::ENCODED_LEN;
 
 /// Bytes one frame payload of this kind/geometry must occupy: a neuro
 /// frame is `rows × cols` raw IEEE-754 samples, a DNA "frame" is one
@@ -97,51 +88,51 @@ pub fn frame_payload_len(kind: ChipKind, rows: u16, cols: u16) -> usize {
 /// little-endian, bit-exact.
 #[must_use]
 pub fn encode_neuro_frame(samples: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples.len() * 8);
-    for &s in samples {
-        out.extend_from_slice(&s.to_bits().to_le_bytes());
-    }
-    out
+    encoded(samples.len() * 8, |w| w.f64s(samples))
 }
 
 /// Appends the samples stored in a neuro frame payload to `out`,
 /// bit-exact (`f64::from_bits` of the stored words).
 pub fn decode_neuro_frame(payload: &[u8], out: &mut Vec<f64>) -> Result<(), StoreError> {
-    if !payload.len().is_multiple_of(8) {
-        return Err(StoreError::InvalidValue {
-            what: "neuro frame payload length",
-        });
-    }
-    out.reserve(payload.len() / 8);
-    for chunk in payload.chunks_exact(8) {
-        let bits: [u8; 8] = chunk.try_into().map_err(|_| StoreError::InvalidValue {
-            what: "neuro frame payload chunk",
-        })?;
-        out.push(f64::from_bits(u64::from_le_bytes(bits)));
-    }
-    Ok(())
+    decoded(payload, |r| r.f64s_into(payload.len() / 8, out))
 }
 
 /// Serialises one DNA count reading payload.
 #[must_use]
 pub fn encode_dna_reading(reading: &PixelCount) -> Vec<u8> {
-    let mut out = Vec::with_capacity(DNA_READING_LEN);
-    out.extend_from_slice(&reading.row.to_le_bytes());
-    out.extend_from_slice(&reading.col.to_le_bytes());
-    out.extend_from_slice(&reading.count.to_le_bytes());
-    out
+    encoded(DNA_READING_LEN, |w| reading.encode(w))
 }
 
 /// Decodes one DNA count reading payload.
 pub fn decode_dna_reading(payload: &[u8]) -> Result<PixelCount, StoreError> {
-    let mut cur = Cursor::new(payload);
-    let reading = PixelCount {
-        row: cur.u16("dna reading row")?,
-        col: cur.u16("dna reading col")?,
-        count: cur.u64("dna reading count")?,
-    };
-    cur.finish("dna reading")?;
-    Ok(reading)
+    decoded(payload, PixelCount::decode)
+}
+
+/// The bytes `write` appends to an empty buffer of `capacity`.
+fn encoded(capacity: usize, write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new(Vec::with_capacity(capacity));
+    write(&mut w);
+    w.into_bytes()
+}
+
+/// Runs `read` over `bytes`, which it must consume exactly.
+fn decoded<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, ProtocolError>,
+) -> Result<T, StoreError> {
+    let mut r = Reader::new(bytes);
+    let value = read(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
+
+/// The bytes a region written by [`seal`] guards; a bad trailer is
+/// reported as a CRC failure of `what`.
+pub(crate) fn unseal<'a>(sealed: &'a [u8], what: &'static str) -> Result<&'a [u8], StoreError> {
+    crc::unseal(sealed).map_err(|err| match err {
+        ProtocolError::BadCrc { .. } => StoreError::BadCrc { what },
+        err => err.into(),
+    })
 }
 
 /// Everything the segment header records about the acquisition.
@@ -162,193 +153,56 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// Wire encoding of `kind` (shared with `bsa-link`'s `ChipKind`).
-    pub(crate) fn kind_tag(kind: ChipKind) -> u8 {
-        match kind {
-            ChipKind::Dna => 0,
-            ChipKind::Neuro => 1,
-        }
-    }
-
-    pub(crate) fn kind_from_tag(tag: u8) -> Result<ChipKind, StoreError> {
-        match tag {
-            0 => Ok(ChipKind::Dna),
-            1 => Ok(ChipKind::Neuro),
-            tag => Err(StoreError::UnknownKind { tag }),
-        }
-    }
-
     /// Serialises the header, CRC trailer included.
     pub(crate) fn encode_header(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_FIXED_LEN + self.spec.len() + 1);
-        out.extend_from_slice(SEGMENT_MAGIC);
-        out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-        out.push(Self::kind_tag(self.kind));
-        out.push(0); // flags, reserved
-        out.extend_from_slice(&self.chip.to_le_bytes());
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        out.extend_from_slice(&self.cols.to_le_bytes());
-        out.extend_from_slice(&self.config_hash.to_le_bytes());
-        out.extend_from_slice(&(self.spec.len() as u32).to_le_bytes());
-        out.extend_from_slice(self.spec.as_bytes());
-        let mut crc = Crc8::new();
-        crc.update_bytes(&out);
-        out.push(crc.finish());
+        let mut out = encoded(HEADER_FIXED_LEN + self.spec.len() + 1, |w| {
+            w.bytes(SEGMENT_MAGIC);
+            w.u16(SEGMENT_VERSION);
+            w.u8(self.kind.tag());
+            w.u8(0); // flags, reserved
+            w.u32(self.chip);
+            w.u16(self.rows);
+            w.u16(self.cols);
+            w.u64(self.config_hash);
+            w.u32(self.spec.len() as u32);
+            w.bytes(self.spec.as_bytes());
+        });
+        seal(&mut out);
         out
     }
 
-    /// Parses and CRC-checks a header occupying exactly `bytes`.
+    /// Parses and CRC-checks a header occupying exactly `bytes`. The
+    /// header region's size was already pinned by the caller; the stored
+    /// spec length must account for every remaining byte.
     pub(crate) fn decode_header(bytes: &[u8]) -> Result<Self, StoreError> {
-        let Some((body, &[crc_byte])) = bytes.split_at_checked(bytes.len().saturating_sub(1))
-        else {
-            return Err(StoreError::Truncated {
-                what: "segment header",
-                needed: (HEADER_FIXED_LEN + 1) as u64,
-                available: bytes.len() as u64,
-            });
-        };
-        let mut cur = Cursor::new(body);
-        let magic = cur.take(4, "segment header magic")?;
-        if magic != SEGMENT_MAGIC {
+        let mut r = Reader::new(unseal(bytes, "segment header")?);
+        if r.bytes(SEGMENT_MAGIC.len())? != SEGMENT_MAGIC {
             return Err(StoreError::BadMagic {
                 what: "segment header",
             });
         }
-        let version = cur.u16("segment version")?;
+        let version = r.u16()?;
         if version != SEGMENT_VERSION {
             return Err(StoreError::UnsupportedVersion { got: version });
         }
-        let kind = Self::kind_from_tag(cur.u8("segment kind")?)?;
-        let _flags = cur.u8("segment flags")?;
-        let chip = cur.u32("segment chip")?;
-        let rows = cur.u16("segment rows")?;
-        let cols = cur.u16("segment cols")?;
-        let config_hash = cur.u64("segment config hash")?;
-        let spec_len = cur.u32("segment spec length")? as usize;
-        // The header region's size was already pinned by the caller; the
-        // stored spec length must account for every remaining byte.
-        if spec_len != cur.remaining() {
-            return Err(StoreError::InvalidValue {
-                what: "segment spec length",
-            });
-        }
-        let spec_bytes = cur.take(spec_len, "segment spec")?;
-        let spec = std::str::from_utf8(spec_bytes)
-            .map_err(|_| StoreError::BadUtf8)?
-            .to_string();
-        cur.finish("segment header")?;
-        let mut crc = Crc8::new();
-        crc.update_bytes(body);
-        if crc.finish() != crc_byte {
-            return Err(StoreError::BadCrc {
-                what: "segment header",
-            });
-        }
-        Ok(Self {
-            chip,
+        let kind = ChipKind::from_tag(r.u8()?)?;
+        let _flags = r.u8()?;
+        let meta = Self {
+            chip: r.u32()?,
             kind,
-            rows,
-            cols,
-            config_hash,
-            spec,
-        })
-    }
-}
-
-/// Bounds-checked little-endian slice reader: every primitive read is
-/// total, so malformed files surface as typed errors, never panics.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(StoreError::InvalidValue { what })?;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| StoreError::Truncated {
-                what,
-                needed: n as u64,
-                available: self.remaining() as u64,
-            })?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, StoreError> {
-        let slice = self.take(1, what)?;
-        slice
-            .first()
-            .copied()
-            .ok_or(StoreError::InvalidValue { what })
-    }
-
-    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16, StoreError> {
-        let slice = self.take(2, what)?;
-        let arr: [u8; 2] = slice
-            .try_into()
-            .map_err(|_| StoreError::InvalidValue { what })?;
-        Ok(u16::from_le_bytes(arr))
-    }
-
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, StoreError> {
-        let slice = self.take(4, what)?;
-        let arr: [u8; 4] = slice
-            .try_into()
-            .map_err(|_| StoreError::InvalidValue { what })?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, StoreError> {
-        let slice = self.take(8, what)?;
-        let arr: [u8; 8] = slice
-            .try_into()
-            .map_err(|_| StoreError::InvalidValue { what })?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    pub(crate) fn finish(&self, what: &'static str) -> Result<(), StoreError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(StoreError::InvalidValue { what })
-        }
-    }
-}
-
-impl std::fmt::Debug for Cursor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cursor")
-            .field("len", &self.bytes.len())
-            .field("pos", &self.pos)
-            .finish()
+            rows: r.u16()?,
+            cols: r.u16()?,
+            config_hash: r.u64()?,
+            spec: r.string()?,
+        };
+        r.finish()?;
+        Ok(meta)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a-64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn header_roundtrips() {

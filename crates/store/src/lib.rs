@@ -9,9 +9,14 @@
 //! read traffic. A recording is a single *segment file*: a fixed header
 //! (magic, version, chip-config FNV-1a-64 hash, spec snapshot), per-frame
 //! records carrying embedded metadata (frame index, epoch, payload
-//! length, CRC-8 trailer — the same polynomial that guards the chips'
-//! serial words, via [`bsa_link::crc::Crc8`]), and an index footer giving
-//! O(1) frame seek. See [`format`] docs for the exact byte layout.
+//! length, CRC-8 trailer), and an index footer giving O(1) frame seek.
+//! See [`mod@format`] docs for the exact byte layout.
+//!
+//! The store has no byte codec of its own. Every segment byte is written
+//! and read with `bsa-link`'s [`bsa_link::Writer`]/[`bsa_link::Reader`],
+//! and header, records and footer are sealed with the CRC-8 trailer that
+//! closes every wire frame ([`bsa_link::crc::seal`]), the polynomial that
+//! also guards the chips' serial words.
 //!
 //! Design rules:
 //!
@@ -20,8 +25,9 @@
 //!   frame is dropped and counted, mirroring the station's
 //!   `StreamEnd { sent, dropped }` contract.
 //! * **Bit-exact payloads.** Neuro samples are persisted as raw IEEE-754
-//!   bits ([`encode_neuro_frame`]/[`decode_neuro_frame`]), so a replayed
-//!   stream is `f64::to_bits`-identical to the live one.
+//!   bits ([`encode_neuro_frame`]/[`decode_neuro_frame`]), the same run of
+//!   bytes a `StreamData` chunk carries, so a replayed stream is
+//!   `f64::to_bits`-identical to the live one.
 //! * **Panic-free, CRC-guarded reads.** Every malformed or corrupted
 //!   segment maps to a typed [`StoreError`]; every file byte is covered
 //!   by one of three CRC-8 trailers or pinned by a structural equation,

@@ -11,11 +11,11 @@
 
 use crate::error::StoreError;
 use crate::format::{
-    frame_payload_len, Cursor, SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN,
-    RECORD_META_LEN, RECORD_OVERHEAD,
+    frame_payload_len, unseal, SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, HEADER_FIXED_LEN,
+    RECORD_OVERHEAD,
 };
 use crate::writer::segment_path;
-use bsa_link::crc::Crc8;
+use bsa_link::Reader;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -75,13 +75,12 @@ impl SegmentReader {
         let mut tail = [0u8; FOOTER_TAIL_LEN];
         file.seek(SeekFrom::Start(bytes - FOOTER_TAIL_LEN as u64))?;
         file.read_exact(&mut tail)?;
-        let mut cur = Cursor::new(&tail);
-        let frame_count = cur.u64("footer frame count")?;
-        let index_off = cur.u64("footer index offset")?;
-        let epochs = cur.u32("footer epochs")?;
-        let footer_crc = cur.u8("footer crc")?;
-        let tail_magic = cur.take(4, "footer magic")?;
-        if tail_magic != FOOTER_MAGIC {
+        let mut r = Reader::new(&tail);
+        let frame_count = r.u64()?;
+        let index_off = r.u64()?;
+        let epochs = r.u32()?;
+        let _footer_crc = r.u8()?;
+        if r.bytes(FOOTER_MAGIC.len())? != FOOTER_MAGIC {
             return Err(StoreError::BadMagic {
                 what: "index footer",
             });
@@ -122,26 +121,17 @@ impl SegmentReader {
             });
         }
 
-        // --- offset table, then CRC over table + tail fields
+        // --- the whole footer: its CRC covers the offset table and the
+        // three tail fields, everything before the tail magic.
         let table_len = (frame_count * 8) as usize;
-        let mut table = vec![0u8; table_len];
+        let mut footer = vec![0u8; table_len + FOOTER_TAIL_LEN];
         file.seek(SeekFrom::Start(index_off))?;
-        file.read_exact(&mut table)?;
-        let mut crc = Crc8::new();
-        crc.update_bytes(&table);
-        // The CRC also covers the three tail fields preceding it.
-        crc.update_bytes(tail.get(..8 + 8 + 4).unwrap_or(&[]));
-        if crc.finish() != footer_crc {
-            return Err(StoreError::BadCrc {
-                what: "index footer",
-            });
-        }
+        file.read_exact(&mut footer)?;
+        let sealed = footer.strip_suffix(FOOTER_MAGIC).unwrap_or_default();
+        let mut r = Reader::new(unseal(sealed, "index footer")?);
         let mut offsets = Vec::with_capacity(table_len / 8);
-        for chunk in table.chunks_exact(8) {
-            let arr: [u8; 8] = chunk.try_into().map_err(|_| StoreError::InvalidValue {
-                what: "footer offset",
-            })?;
-            offsets.push(u64::from_le_bytes(arr));
+        for _ in 0..table_len / 8 {
+            offsets.push(r.u64()?);
         }
 
         // --- header occupies everything before the first record
@@ -229,41 +219,18 @@ impl SegmentReader {
             usize::try_from(end.saturating_sub(off)).map_err(|_| StoreError::InvalidValue {
                 what: "record size",
             })?;
-        if rec_len < RECORD_OVERHEAD {
-            return Err(StoreError::InvalidValue {
-                what: "record size",
-            });
-        }
         self.arena.resize(rec_len, 0);
         self.file.seek(SeekFrom::Start(off))?;
         self.file.read_exact(&mut self.arena)?;
 
-        let Some((body, &[crc_byte])) = self.arena.split_at_checked(rec_len - 1) else {
-            return Err(StoreError::InvalidValue {
-                what: "record size",
-            });
-        };
-        let mut crc = Crc8::new();
-        crc.update_bytes(body);
-        if crc.finish() != crc_byte {
-            return Err(StoreError::BadCrc {
-                what: "frame record",
-            });
-        }
-        let mut cur = Cursor::new(body);
-        let stored_index = cur.u64("record frame index")?;
-        let epoch = cur.u32("record epoch")?;
-        let payload_len = cur.u32("record payload length")? as usize;
-        if stored_index != index {
+        let mut r = Reader::new(unseal(&self.arena, "frame record")?);
+        if r.u64()? != index {
             return Err(StoreError::InvalidValue {
                 what: "record frame index",
             });
         }
-        if payload_len != rec_len - RECORD_OVERHEAD {
-            return Err(StoreError::InvalidValue {
-                what: "record payload length",
-            });
-        }
+        let epoch = r.u32()?;
+        let payload_len = r.u32()? as usize;
         let expected = frame_payload_len(self.meta.kind, self.meta.rows, self.meta.cols);
         if payload_len != expected {
             return Err(StoreError::PayloadSize {
@@ -271,12 +238,8 @@ impl SegmentReader {
                 got: payload_len,
             });
         }
-        let payload =
-            self.arena
-                .get(RECORD_META_LEN..rec_len - 1)
-                .ok_or(StoreError::InvalidValue {
-                    what: "record size",
-                })?;
+        let payload = r.bytes(payload_len)?;
+        r.finish()?;
         Ok(FrameRef {
             index,
             epoch,

@@ -11,8 +11,9 @@
 //! abandoned recording is still a valid, replayable segment.
 
 use crate::error::StoreError;
-use crate::format::{SegmentMeta, FOOTER_MAGIC, RECORD_META_LEN};
-use bsa_link::crc::Crc8;
+use crate::format::{SegmentMeta, FOOTER_MAGIC, FOOTER_TAIL_LEN, RECORD_OVERHEAD};
+use bsa_link::crc::seal;
+use bsa_link::Writer;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -202,29 +203,28 @@ fn run_writer(
     let mut record = Vec::new();
     for frame in rx {
         record.clear();
-        record.reserve(RECORD_META_LEN + frame.payload.len() + 1);
-        record.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-        record.extend_from_slice(&frame.epoch.to_le_bytes());
-        record.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&frame.payload);
-        let mut crc = Crc8::new();
-        crc.update_bytes(&record);
-        record.push(crc.finish());
+        record.reserve(RECORD_OVERHEAD + frame.payload.len());
+        let mut w = Writer::new(record);
+        w.u64(offsets.len() as u64);
+        w.u32(frame.epoch);
+        w.u32(frame.payload.len() as u32);
+        w.bytes(&frame.payload);
+        record = w.into_bytes();
+        seal(&mut record);
         out.write_all(&record)?;
         offsets.push(pos);
         pos += record.len() as u64;
         epochs = epochs.max(frame.epoch.saturating_add(1));
     }
-    let mut footer = Vec::with_capacity(offsets.len() * 8 + 25);
+    let mut w = Writer::new(Vec::with_capacity(offsets.len() * 8 + FOOTER_TAIL_LEN));
     for &off in &offsets {
-        footer.extend_from_slice(&off.to_le_bytes());
+        w.u64(off);
     }
-    footer.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-    footer.extend_from_slice(&pos.to_le_bytes());
-    footer.extend_from_slice(&epochs.to_le_bytes());
-    let mut crc = Crc8::new();
-    crc.update_bytes(&footer);
-    footer.push(crc.finish());
+    w.u64(offsets.len() as u64);
+    w.u64(pos);
+    w.u32(epochs);
+    let mut footer = w.into_bytes();
+    seal(&mut footer);
     footer.extend_from_slice(FOOTER_MAGIC);
     out.write_all(&footer)?;
     out.flush()?;

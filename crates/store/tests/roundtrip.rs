@@ -3,7 +3,7 @@
 
 #![allow(clippy::unwrap_used)] // tests unwrap idiomatically
 
-use bsa_link::{ChipKind, PixelCount};
+use bsa_link::{ChipKind, Message, PixelCount, StreamPayload};
 use bsa_store::{
     decode_dna_reading, decode_neuro_frame, encode_dna_reading, encode_neuro_frame, fnv1a64,
     frame_payload_len, list_recordings, Offer, Recorder, SegmentMeta, SegmentReader, StoreError,
@@ -43,6 +43,19 @@ fn frame_samples(frame: usize, len: usize) -> Vec<f64> {
         .collect()
 }
 
+/// The item bytes of an encoded `StreamData` message: everything after
+/// the message and chunk headers.
+fn stream_items(payload: StreamPayload, kind: ChipKind) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    Message::StreamData {
+        chip: 1,
+        seq: 0,
+        payload,
+    }
+    .encode_payload(&mut bytes);
+    bytes.split_off(StreamPayload::message_len(kind, 0))
+}
+
 #[test]
 fn neuro_write_read_is_bit_identical() {
     let root = temp_root("neuro");
@@ -50,11 +63,28 @@ fn neuro_write_read_is_bit_identical() {
     let payload_len = frame_payload_len(ChipKind::Neuro, 3, 5);
     let mut rec = Recorder::create(&root, "run-a", &meta, payload_len, 64).unwrap();
     let frames = 17usize;
+    let mut payloads = Vec::new();
+    let mut chunk_samples = Vec::new();
     for f in 0..frames {
         let samples = frame_samples(f, 15);
         let epoch = if f < 10 { 0 } else { 1 };
+        payloads.extend(encode_neuro_frame(&samples));
+        chunk_samples.extend(&samples);
         rec.offer(epoch, encode_neuro_frame(&samples)).unwrap();
     }
+    // The same frames streamed as one `StreamData` chunk carry the
+    // stored payloads laid end to end after the chunk's header.
+    let chunk = StreamPayload::NeuroFrames {
+        first_frame: 0,
+        rows: 3,
+        cols: 5,
+        samples: chunk_samples,
+    };
+    assert_eq!(
+        stream_items(chunk, ChipKind::Neuro),
+        payloads,
+        "stored neuro payloads and streamed samples differ in layout"
+    );
     let summary = rec.finish().unwrap();
     assert_eq!(
         summary.frames_written + summary.frames_dropped,
@@ -112,6 +142,15 @@ fn dna_readings_roundtrip() {
     for r in &readings {
         rec.offer(0, encode_dna_reading(r)).unwrap();
     }
+    let stored: Vec<u8> = readings.iter().flat_map(encode_dna_reading).collect();
+    let chunk = StreamPayload::DnaCounts {
+        readings: readings.clone(),
+    };
+    assert_eq!(
+        stream_items(chunk, ChipKind::Dna),
+        stored,
+        "stored DNA payloads and streamed readings differ in layout"
+    );
     let summary = rec.finish().unwrap();
     assert_eq!(summary.frames_written, 128);
     assert_eq!(summary.frames_dropped, 0);
@@ -245,4 +284,56 @@ fn dropped_recorder_still_finalizes_a_valid_segment() {
     assert_eq!(reader.frames(), 1);
     assert_eq!(reader.frame(0).unwrap().epoch, 3);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// FNV-1a-64 of a neuro segment (3×5, 17 frames over two epochs) and a
+/// DNA segment (all 128 readings of an 8×16 die) as `Recorder` writes
+/// them. Pinned so any change to the segment codec that moves a single
+/// byte fails here.
+const GOLDEN_NEURO_SEGMENT: u64 = 0x1467_2a82_be4e_f6bd;
+const GOLDEN_DNA_SEGMENT: u64 = 0xd093_ebc2_ccb0_c442;
+
+#[test]
+fn segment_bytes_match_golden() {
+    let root = temp_root("golden");
+    let meta = neuro_meta(3, 5);
+    let mut rec = Recorder::create(&root, "neuro", &meta, 120, 64).unwrap();
+    for f in 0..17 {
+        let epoch = u32::from(f >= 10);
+        rec.offer(epoch, encode_neuro_frame(&frame_samples(f, 15)))
+            .unwrap();
+    }
+    rec.finish().unwrap();
+
+    let spec = "DnaChipConfig { rows: 8, cols: 16 }".to_string();
+    let meta = SegmentMeta {
+        chip: 2,
+        kind: ChipKind::Dna,
+        rows: 8,
+        cols: 16,
+        config_hash: fnv1a64(spec.as_bytes()),
+        spec,
+    };
+    let mut rec = Recorder::create(&root, "dna", &meta, 12, 256).unwrap();
+    for i in 0..128u16 {
+        let reading = PixelCount {
+            row: i / 16,
+            col: i % 16,
+            count: u64::from(i) * 977 + 13,
+        };
+        rec.offer(0, encode_dna_reading(&reading)).unwrap();
+    }
+    rec.finish().unwrap();
+
+    let hash = |name: &str| fnv1a64(&std::fs::read(root.join(format!("{name}.seg"))).unwrap());
+    let (neuro, dna) = (hash("neuro"), hash("dna"));
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(
+        neuro, GOLDEN_NEURO_SEGMENT,
+        "neuro segment bytes drifted: {neuro:#018x}"
+    );
+    assert_eq!(
+        dna, GOLDEN_DNA_SEGMENT,
+        "DNA segment bytes drifted: {dna:#018x}"
+    );
 }
